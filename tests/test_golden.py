@@ -1,0 +1,44 @@
+"""Golden outputs: the CLI's bytes for fixed inputs and seed never change.
+
+Each digest is the SHA-256 of one subcommand's output file.  A refactor
+that keeps behaviour keeps these digests; a deliberate change to an output
+format or a numeric result must update them and say why.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from pld.cli import main
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SMALL = str(SCENARIO_DIR / "small_codebook.json")
+LARGE = str(SCENARIO_DIR / "large_codebook.json")
+
+GOLDEN = [
+    (["error-table"],
+     "68c8d94dd12372f8e7ca8ef2df427374d8eb1afa4a6c221c3d206ccdec3ec298"),
+    (["sweep-receiver", "--scenario", SMALL],
+     "fe86d39531a433765927a888cc060221f058cf4044f095d553e3505236cd78d9"),
+    (["sweep-receiver", "--scenario", LARGE],
+     "be9451b36813925817a252d11e9f6c84b046971114371cb82a94439b9c302743"),
+    # default axes: -5..5 dB in 0.5 dB steps, a 21x21 grid
+    (["optimize-alpha", "--scenario", SMALL],
+     "3dfb65e4384b5c0bd5158af7f67152f0670d8c79b761725e42dd1b37dd43b7ff"),
+    (["optimize-alpha", "--scenario", LARGE],
+     "d4afd9d5fe132f94a6aa109febdf424020e3ee8d17c1a115e55ba32847bc31d8"),
+    (["validate", "--scenario", SMALL, "--trials", "20000", "--seed", "3"],
+     "718c95d46bec0e9139b4959d01f196600d2b889372368884710161369912c39f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    GOLDEN,
+    ids=["error-table", "sweep-receiver-small", "sweep-receiver-large",
+         "optimize-alpha-small", "optimize-alpha-large", "validate-small"],
+)
+def test_cli_output_digest(tmp_path, argv, digest):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
