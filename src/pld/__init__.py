@@ -15,7 +15,6 @@ from .core import (
     Scenario,
     ScenarioError,
     distance,
-    validate_scenario,
 )
 from .crypto import ShiftCipher, sample_key
 from .distortion import (
@@ -74,6 +73,5 @@ __all__ = [
     "sample_key",
     "simulate_trial",
     "snr_db_to_linear",
-    "validate_scenario",
     "__version__",
 ]

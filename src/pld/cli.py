@@ -23,7 +23,8 @@ from .core import (
     NULL_MSG,
     Scenario,
     ScenarioError,
-    validate_scenario,
+    _is_int,
+    code_violations,
 )
 from .crypto import ShiftCipher, decrypt_batch, encrypt_batch
 from .distortion import DROPPING, EXCLUSION, PERCEPTION, ReceiverStrategy
@@ -50,16 +51,23 @@ _MAX_SEED = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """A parsed scenario document: model parameters plus run settings."""
+    """Model parameters plus run settings; bad settings raise ValueError."""
 
     scenario: Scenario
     d_max: float
     mc_trials: int
     seed: int
 
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    def __post_init__(self) -> None:
+        bad = []
+        if not (math.isfinite(self.d_max) and self.d_max > 0):
+            bad.append(f"d_max must be finite and > 0, got {self.d_max!r}")
+        if self.mc_trials < 1:
+            bad.append(f"mc_trials must be >= 1, got {self.mc_trials}")
+        if not 0 <= self.seed <= _MAX_SEED:
+            bad.append(f"seed must fit in 64 bits, got {self.seed}")
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 def _is_real(x: object) -> bool:
@@ -102,28 +110,22 @@ def load_scenario_file(path: str) -> ScenarioFile:
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
-    scenario = validate_scenario(
-        Scenario(
-            codebook_size=size,
-            d_loss=float(data["d_loss"]),
-            d_conf=float(data["d_conf"]),
-            alpha=float(data["alpha"]),
-            payload_bits=data["payload_bits"],
-            code_rate=float(data["code_rate"]),
-            snr_bob_db=float(data["snr_bob_db"]),
-            snr_eve_db=float(data["snr_eve_db"]),
-        )
+    scenario = Scenario(
+        codebook_size=size,
+        d_loss=float(data["d_loss"]),
+        d_conf=float(data["d_conf"]),
+        alpha=float(data["alpha"]),
+        payload_bits=data["payload_bits"],
+        code_rate=float(data["code_rate"]),
+        snr_bob_db=float(data["snr_bob_db"]),
+        snr_eve_db=float(data["snr_eve_db"]),
     )
-    d_max = float(data["d_max"])
-    if not (math.isfinite(d_max) and d_max > 0):
-        problems.append(f"d_max must be finite and > 0, got {data['d_max']!r}")
-    if data["mc_trials"] < 1:
-        problems.append(f"mc_trials must be >= 1, got {data['mc_trials']}")
-    if not 0 <= data["seed"] <= _MAX_SEED:
-        problems.append(f"seed must fit in 64 bits, got {data['seed']}")
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-    return ScenarioFile(scenario, d_max, data["mc_trials"], data["seed"])
+    try:
+        return ScenarioFile(
+            scenario, float(data["d_max"]), data["mc_trials"], data["seed"]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +174,10 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
 def _error_table_code(args) -> FblCode:
     if args.scenario is not None:
         return FblCode.from_scenario(load_scenario_file(args.scenario).scenario)
-    blocklength = args.payload_bits / args.code_rate
-    if not (0 < args.code_rate <= 1) or args.payload_bits < 1:
-        raise ValueError(
-            f"need payload_bits >= 1 and code_rate in (0, 1], got "
-            f"{args.payload_bits}, {args.code_rate}"
-        )
-    if abs(blocklength - round(blocklength)) > 1e-9:
-        raise ValueError(f"non-integer blocklength {blocklength}")
-    return FblCode(round(blocklength), args.payload_bits)
+    bad = code_violations(args.payload_bits, args.code_rate)
+    if bad:
+        raise ScenarioError(bad)
+    return FblCode(round(args.payload_bits / args.code_rate), args.payload_bits)
 
 
 def cmd_error_table(args) -> int:
@@ -455,11 +452,9 @@ def _gate_decomposition(
     )
 
 
-def run_validation(
-    loaded: ScenarioFile, trials: int, seed: int, workers: int = 1
-) -> list[GateResult]:
+def run_validation(loaded: ScenarioFile, workers: int = 1) -> list[GateResult]:
     """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
-    scenario = loaded.scenario
+    scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
     code = FblCode.from_scenario(scenario)
     eps_bob = packet_error_rate(snr_db_to_linear(scenario.snr_bob_db), code)
     eps_eve = packet_error_rate(snr_db_to_linear(scenario.snr_eve_db), code)
@@ -477,15 +472,12 @@ def run_validation(
 
 def cmd_validate(args) -> int:
     loaded = load_scenario_file(args.scenario)
-    trials = loaded.mc_trials if args.trials is None else args.trials
-    seed = loaded.seed if args.seed is None else args.seed
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed <= _MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
-    results = run_validation(loaded, trials, seed, args.workers)
+    loaded = replace(
+        loaded,
+        mc_trials=loaded.mc_trials if args.trials is None else args.trials,
+        seed=loaded.seed if args.seed is None else args.seed,
+    )
+    results = run_validation(loaded, args.workers)
     lines = [f"{r.status} {r.name}: {r.detail}" for r in results]
     counts = {s: sum(r.status == s for r in results) for s in ("PASS", "FAIL", "SKIP")}
     lines.append(
@@ -499,25 +491,6 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_common(sub: argparse.ArgumentParser, need_scenario: bool) -> None:
-    sub.add_argument(
-        "--scenario",
-        required=need_scenario,
-        default=None,
-        help="scenario JSON file",
-    )
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
-    )
-    sub.add_argument(
-        "--trials", type=int, default=None, help="override scenario mc_trials"
-    )
-    sub.add_argument(
-        "--workers", type=int, default=1, help="worker threads for Monte Carlo"
-    )
-
 
 def _add_snr_range(sub: argparse.ArgumentParser, prefix: str = "snr") -> None:
     sub.add_argument(f"--{prefix}-lo", type=float, default=-5.0)
@@ -534,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("error-table", help="packet error rate vs SNR")
-    _add_common(p, need_scenario=False)
     p.add_argument("--payload-bits", type=int, default=64)
     p.add_argument("--code-rate", type=float, default=0.5)
     _add_snr_range(p)
@@ -543,22 +515,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep-receiver", help="optimal receiver strategy across an SNR sweep"
     )
-    _add_common(p, need_scenario=True)
     _add_snr_range(p)
     p.set_defaults(func=cmd_sweep_receiver)
 
     p = sub.add_parser(
         "optimize-alpha", help="best activation rate over an SNR grid"
     )
-    _add_common(p, need_scenario=True)
     _add_snr_range(p, "bob-snr")
     _add_snr_range(p, "eve-snr")
     p.set_defaults(func=cmd_optimize_alpha)
 
     p = sub.add_parser("validate", help="run the oracle self-check suite")
-    _add_common(p, need_scenario=True)
+    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--trials", type=int, help="override scenario mc_trials")
+    p.add_argument("--workers", type=int, default=1, help="Monte Carlo threads")
     p.set_defaults(func=cmd_validate)
 
+    for name, p in sub.choices.items():
+        p.add_argument(
+            "--scenario",
+            required=name != "error-table",
+            help="scenario JSON file",
+        )
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -570,10 +549,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -55,6 +55,8 @@ class Scenario:
     ``payload_bits`` and ``code_rate`` determine the blocklength of the
     finite-blocklength code used on both transport channels, and the SNR
     fields place the two receivers on that code's error-rate curve.
+    Construction (``dataclasses.replace`` included) raises ScenarioError
+    listing every rule of ``scenario_violations`` the fields break.
     """
 
     codebook_size: int
@@ -65,6 +67,11 @@ class Scenario:
     code_rate: float = 0.5
     snr_bob_db: float = 4.0
     snr_eve_db: float = 0.0
+
+    def __post_init__(self) -> None:
+        bad = scenario_violations(self)
+        if bad:
+            raise ScenarioError(bad)
 
     @property
     def distortion(self) -> DistortionModel:
@@ -81,7 +88,7 @@ class Scenario:
 
 
 class ScenarioError(ValueError):
-    """Raised by validate_scenario; carries the full list of violations."""
+    """Raised when building a bad Scenario; carries the full list of violations."""
 
     def __init__(self, violations: list[str]) -> None:
         super().__init__("; ".join(violations))
@@ -90,6 +97,22 @@ class ScenarioError(ValueError):
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def code_violations(payload_bits: int, code_rate: float) -> list[str]:
+    """Rules for the (n, k) code: k >= 1, rate in (0, 1], integer n = k/rate."""
+    bad: list[str] = []
+    if not _is_int(payload_bits) or payload_bits < 1:
+        bad.append(f"payload_bits must be a positive integer, got {payload_bits!r}")
+    if not (math.isfinite(code_rate) and 0.0 < code_rate <= 1.0):
+        bad.append(f"code_rate must lie in (0, 1], got {code_rate!r}")
+    else:
+        n = payload_bits / code_rate
+        if abs(n - round(n)) > 1e-9:
+            bad.append(
+                f"payload_bits/code_rate must be an integer blocklength, got {n!r}"
+            )
+    return bad
 
 
 def scenario_violations(s: Scenario) -> list[str]:
@@ -103,28 +126,11 @@ def scenario_violations(s: Scenario) -> list[str]:
         bad.append(f"d_conf must be finite and > d_loss, got {s.d_conf!r}")
     if not (math.isfinite(s.alpha) and 0.0 <= s.alpha <= 1.0):
         bad.append(f"alpha must lie in [0, 1], got {s.alpha!r}")
-    if not _is_int(s.payload_bits) or s.payload_bits < 1:
-        bad.append(f"payload_bits must be a positive integer, got {s.payload_bits!r}")
-    if not (math.isfinite(s.code_rate) and 0.0 < s.code_rate <= 1.0):
-        bad.append(f"code_rate must lie in (0, 1], got {s.code_rate!r}")
-    else:
-        n = s.payload_bits / s.code_rate
-        if abs(n - round(n)) > 1e-9:
-            bad.append(
-                f"payload_bits/code_rate must be an integer blocklength, got {n!r}"
-            )
+    bad += code_violations(s.payload_bits, s.code_rate)
     for field in ("snr_bob_db", "snr_eve_db"):
         if not math.isfinite(getattr(s, field)):
             bad.append(f"{field} must be finite, got {getattr(s, field)!r}")
     return bad
-
-
-def validate_scenario(s: Scenario) -> Scenario:
-    """Return ``s`` unchanged, or raise ScenarioError listing all violations."""
-    bad = scenario_violations(s)
-    if bad:
-        raise ScenarioError(bad)
-    return s
 
 
 def distance(w: int, w_hat: Symbol, model: DistortionModel) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .channels import TransportChannel
 from .core import Scenario
-from .distortion import DeltaTerms, ReceiverStrategy, delta_terms
+from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
 from .fbl import FblCode
 
 OPTION_LABELS = ("perception", "dropping", "exclusion")
@@ -149,8 +149,8 @@ def receiver_value_of_alpha(
     envelope scaled by the delivery probability on top of the erasure floor.
     The scenario's own alpha field is ignored.
     """
-    at0 = delta_terms(replace(scenario, alpha=0.0), eps_s).as_tuple()
-    at1 = delta_terms(replace(scenario, alpha=1.0), eps_s).as_tuple()
+    at0 = _delta_terms_at(scenario, eps_s, 0.0).as_tuple()
+    at1 = _delta_terms_at(scenario, eps_s, 1.0).as_tuple()
     deliver = 1.0 - eps_p
     floor = eps_p * scenario.d_loss
     affines = [

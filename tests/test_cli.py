@@ -1,5 +1,8 @@
 """Command-line interface: scenario parsing, CSV output, validation gates."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 BASE_DOC = {
     "codebook_size": 2,
@@ -182,6 +186,11 @@ def test_error_table_bad_inputs(tmp_path, capsys):
     assert main(["error-table", "--payload-bits", "63",
                  "--code-rate", "0.4"]) == 2
     assert main(["error-table", "--scenario", str(tmp_path / "nope.json")]) == 2
+    capsys.readouterr()
+    assert main(["error-table", "--snr-lo", "3990", "--snr-hi", "4000",
+                 "--snr-step", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "3990" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +304,16 @@ def test_validate_writes_report_file(tmp_path):
     assert text.endswith("skipped\n")
 
 
-def test_validate_bad_overrides(tmp_path):
+def test_validate_bad_overrides(tmp_path, capsys):
     path = write_doc(tmp_path, BASE_DOC)
     assert main(["validate", "--scenario", path, "--trials", "0"]) == 2
     assert main(["validate", "--scenario", path, "--workers", "0"]) == 2
     assert main(["validate", "--scenario", path, "--seed", "-1"]) == 2
+    capsys.readouterr()
+    loud = write_doc(tmp_path, dict(BASE_DOC, snr_bob_db=4000.0), "loud.json")
+    assert main(["validate", "--scenario", loud]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4000" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +326,26 @@ def test_unknown_command_exits_with_usage_error():
 
 def test_help_exits_cleanly():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["error-table", "sweep-receiver", "optimize-alpha"]
+)
+def test_monte_carlo_flags_only_on_validate(command, capsys):
+    path = str(SCENARIO_DIR / "small_codebook.json")
+    argv = [command, "--scenario", path, "--seed", "1", "--trials", "7",
+            "--workers", "9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1 --trials 7 --workers 9" in err
+
+
+def test_module_runs_as_script():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-m", "pld.cli", "error-table", "--snr-lo", "0",
+         "--snr-hi", "1", "--snr-step", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[:2] == ["snr_db,epsilon", "0.0,0.5"]

@@ -1,4 +1,6 @@
 """Domain types, semantic distance, and scenario validation."""
+from dataclasses import replace
+
 import pytest
 
 from pld.core import (
@@ -9,7 +11,6 @@ from pld.core import (
     ScenarioError,
     distance,
     scenario_violations,
-    validate_scenario,
 )
 
 MODEL = DistortionModel(d_loss=1.0, d_conf=10.0)
@@ -55,33 +56,36 @@ def test_distance_rejects_null_truth():
 
 def test_validate_accepts_reference_parameters():
     sc = make_scenario()
-    assert validate_scenario(sc) is sc
-    # idempotent
-    assert validate_scenario(validate_scenario(sc)) is sc
+    assert scenario_violations(sc) == []
+    assert replace(sc, alpha=0.0).alpha == 0.0
 
 
-def test_validate_rejects_alpha_out_of_range():
-    with pytest.raises(ScenarioError, match="alpha"):
-        validate_scenario(make_scenario(alpha=1.5))
-
-
-def test_validate_rejects_non_integer_blocklength():
-    with pytest.raises(ScenarioError, match="blocklength"):
-        validate_scenario(make_scenario(payload_bits=64, code_rate=0.3))
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: make_scenario(alpha=1.5), "alpha"),
+        (lambda: replace(make_scenario(), alpha=1.5), "alpha"),
+        (lambda: make_scenario(payload_bits=64, code_rate=0.3), "blocklength"),
+        (lambda: make_scenario(d_loss=10.0, d_conf=1.0), "d_conf"),
+        (lambda: make_scenario(codebook_size=1), "codebook_size"),
+    ],
+    ids=["alpha-out-of-range", "replace-alpha-out-of-range",
+         "non-integer-blocklength", "bad-distortion-ordering", "codebook-size-1"],
+)
+def test_validate_rejects_bad_parameters(build, field):
+    with pytest.raises(ScenarioError, match=field) as err:
+        build()
+    assert len(err.value.violations) == 1
 
 
 def test_validate_collects_every_violation():
-    bad = make_scenario(codebook_size=1, alpha=-0.2, d_loss=-1.0, code_rate=2.0)
-    violations = scenario_violations(bad)
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(codebook_size=1, alpha=-0.2, d_loss=-1.0, code_rate=2.0)
+    violations = err.value.violations
     assert len(violations) >= 4
     text = " ".join(violations)
     for name in ("codebook_size", "alpha", "d_loss", "code_rate"):
         assert name in text
-
-
-def test_validate_rejects_bad_distortion_ordering():
-    with pytest.raises(ScenarioError, match="d_conf"):
-        validate_scenario(make_scenario(d_loss=10.0, d_conf=1.0))
 
 
 def test_blocklength_arithmetic():
