@@ -100,30 +100,28 @@ def load_scenario_file(path: str) -> ScenarioFile:
         problems.append(
             f"codebook_size must be an integer or the string \"2^64\", got {size!r}"
         )
+    reals = {}
     for key in ("d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db",
                 "snr_eve_db", "d_max"):
         if not _is_real(data[key]):
             problems.append(f"{key} must be a number, got {data[key]!r}")
+            continue
+        try:
+            reals[key] = float(data[key])
+        except OverflowError:  # a JSON integer beyond the float range
+            problems.append(f"{key} is too large for a float")
     for key in ("payload_bits", "mc_trials", "seed"):
         if not _is_int(data[key]):
             problems.append(f"{key} must be an integer, got {data[key]!r}")
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
+    d_max = reals.pop("d_max")
     scenario = Scenario(
-        codebook_size=size,
-        d_loss=float(data["d_loss"]),
-        d_conf=float(data["d_conf"]),
-        alpha=float(data["alpha"]),
-        payload_bits=data["payload_bits"],
-        code_rate=float(data["code_rate"]),
-        snr_bob_db=float(data["snr_bob_db"]),
-        snr_eve_db=float(data["snr_eve_db"]),
+        codebook_size=size, payload_bits=data["payload_bits"], **reals
     )
     try:
-        return ScenarioFile(
-            scenario, float(data["d_max"]), data["mc_trials"], data["seed"]
-        )
+        return ScenarioFile(scenario, d_max, data["mc_trials"], data["seed"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

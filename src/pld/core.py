@@ -107,8 +107,15 @@ def code_violations(payload_bits: int, code_rate: float) -> list[str]:
     if not (math.isfinite(code_rate) and 0.0 < code_rate <= 1.0):
         bad.append(f"code_rate must lie in (0, 1], got {code_rate!r}")
     else:
-        n = payload_bits / code_rate
-        if abs(n - round(n)) > 1e-9:
+        try:
+            n = payload_bits / code_rate
+        except OverflowError:  # an integer beyond the float range
+            n = math.inf
+        if not math.isfinite(n):
+            bad.append(
+                f"payload_bits/code_rate must be a finite blocklength, got {n!r}"
+            )
+        elif abs(n - round(n)) > 1e-9:
             bad.append(
                 f"payload_bits/code_rate must be an integer blocklength, got {n!r}"
             )

@@ -15,6 +15,7 @@ import numpy as np
 from .core import NULL_KEY, NULL_MSG, Key, Scenario, Symbol
 
 _FULL_UINT64 = 1 << 64
+_HALF_UINT64 = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,13 @@ def add_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
         return wrapped
     m = np.uint64(modulus)
     # Reduce when the true sum reached the modulus: either the uint64 add
-    # carried (wrapped < a) or the in-range sum did (wrapped >= m).
-    need = (wrapped < a) | (wrapped >= m)
-    return np.where(need, wrapped - m, wrapped)
+    # carried (wrapped < a, possible only when modulus > 2**63) or the
+    # in-range sum did (wrapped >= m).
+    need = wrapped >= m
+    if modulus > _HALF_UINT64:
+        need |= wrapped < a
+    wrapped -= need * m
+    return wrapped
 
 
 def sub_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
@@ -83,7 +88,8 @@ def sub_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     diff = a - b  # wraps mod 2**64
     if modulus == _FULL_UINT64:
         return diff
-    return np.where(a >= b, diff, diff + np.uint64(modulus))
+    diff += (a < b) * np.uint64(modulus)
+    return diff
 
 
 def encrypt_batch(
@@ -93,8 +99,7 @@ def encrypt_batch(
     codebook_size: int,
 ) -> np.ndarray:
     """Vectorized cipher: shift where the key is active, identity elsewhere."""
-    shifted = add_mod(words, keys, codebook_size)
-    return np.where(active, shifted, words)
+    return add_mod(words, keys * active, codebook_size)
 
 
 def decrypt_batch(
@@ -104,8 +109,7 @@ def decrypt_batch(
     codebook_size: int,
 ) -> np.ndarray:
     """Vectorized inverse cipher on delivered codewords (no erasure handling)."""
-    shifted = sub_mod(codewords, keys, codebook_size)
-    return np.where(active, shifted, codewords)
+    return sub_mod(codewords, keys * active, codebook_size)
 
 
 # ---------------------------------------------------------------------------
@@ -128,5 +132,5 @@ def sample_keys(
     active = rng.random(size) < scenario.alpha
     values = rng.integers(0, scenario.codebook_size - 1, size=size, dtype=np.uint64)
     values += np.uint64(1)
-    values[~active] = 0
+    values *= active
     return values, active

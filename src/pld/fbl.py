@@ -23,8 +23,8 @@ EPS_CEIL = math.nextafter(1.0, 0.0)
 
 def snr_db_to_linear(snr_db: float) -> float:
     """10^(dB/10); ValueError if that exceeds the float range (~3082 dB)."""
-    try:
-        return 10.0 ** (snr_db / 10.0)
+    try:  # math.pow raises on overflow for numpy floats too; ** returns inf
+        return math.pow(10.0, snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"SNR {snr_db!r} dB overflows the float range") from None
 

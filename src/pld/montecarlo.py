@@ -4,15 +4,19 @@ Every trial walks the whole chain — draw meaning and key, encrypt, push
 through both transport channels, let the receiver decrypt or fall back on
 its perception/dropping/exclusion mix — and scores the realized semantic
 distortion.  A scalar reference walk (``simulate_trial``) states the
-pipeline plainly; the vectorized kernel (``simulate_batch``) reproduces the
-same law on uint64 arrays for throughput.  Estimates reduce chunk sums in a
-fixed order with per-chunk substreams, so a given seed yields bit-identical
+pipeline plainly; the vectorized kernel (``simulate_batch``) draws the same
+law on uint64 arrays for throughput, and each chunk of trials reduces to two
+integer outcome counts, lost and confused, since distortion only takes the
+values 0, ``d_loss`` and ``d_conf``.  The mean and standard error follow
+exactly from the summed counts, so a given seed yields bit-identical
 results for any worker count.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .core import NULL_KEY, NULL_MSG, Scenario, distance
 from .crypto import ShiftCipher
 from .distortion import ReceiverStrategy
 
-#: Trials per reduction chunk; one substream and one partial sum per chunk.
+#: Trials per reduction chunk; one substream and one pair of counts per chunk.
 CHUNK_TRIALS = 1 << 19
 
 
@@ -41,7 +45,7 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Per-trial pipeline record; sentinel fields use (values, mask) pairs."""
+    """One chunk's draws; a NULL_KEY slot holds key 0 with key_active False."""
 
     message: np.ndarray
     key: np.ndarray
@@ -49,10 +53,8 @@ class TrialBatch:
     ciphertext: np.ndarray
     delivered: np.ndarray
     key_decoded: np.ndarray
-    option: np.ndarray
-    estimate: np.ndarray
-    estimate_valid: np.ndarray
-    distortion: np.ndarray
+    branch_u: np.ndarray
+    exclusion_pick: np.ndarray
 
 
 def simulate_trial(
@@ -91,10 +93,9 @@ def simulate_batch(
     scenario: Scenario,
     eps_p: float,
     eps_s: float,
-    strategy: ReceiverStrategy,
     size: int,
 ) -> TrialBatch:
-    """Vectorized pipeline walk; same law as simulate_trial, fixed draw order.
+    """Vectorized pipeline draws; same law as simulate_trial, fixed draw order.
 
     Branch and exclusion randomness is drawn for every trial (and discarded
     where unused) to keep the stream layout independent of the outcomes.
@@ -107,45 +108,30 @@ def simulate_batch(
     key_arrived = channels.delivery_mask(rng, eps_s, size)
     key_decoded = key_active & key_arrived
     branch_u = rng.random(size)
-    option = np.zeros(size, dtype=np.int8)
-    option[branch_u >= strategy.beta1] = 1
-    option[branch_u >= strategy.beta1 + strategy.beta2] = 2
-    excl_raw = rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
-
-    decrypted = crypto.decrypt_batch(s, key_vals, key_decoded, cardinality)
-    excl_pick = excl_raw + (excl_raw >= s).astype(np.uint64)
-
-    estimate = np.zeros(size, dtype=np.uint64)
-    estimate_valid = np.zeros(size, dtype=bool)
-    synced = delivered & key_decoded
-    estimate[synced] = decrypted[synced]
-    estimate_valid[synced] = True
-    fallback = delivered & ~key_decoded
-    seen = fallback & (option == 0)
-    estimate[seen] = s[seen]
-    estimate_valid[seen] = True
-    excluded = fallback & (option == 2)
-    estimate[excluded] = excl_pick[excluded]
-    estimate_valid[excluded] = True
-    # dropping and erasures keep estimate_valid False (NULL_MSG).
-
-    distortion = np.where(
-        ~estimate_valid,
-        scenario.d_loss,
-        np.where(estimate == w, 0.0, scenario.d_conf),
-    )
+    excl = rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
+    excl += excl >= s  # uniform over the codewords other than s
     return TrialBatch(
-        message=w,
-        key=key_vals,
-        key_active=key_active,
-        ciphertext=s,
-        delivered=delivered,
-        key_decoded=key_decoded,
-        option=option,
-        estimate=estimate,
-        estimate_valid=estimate_valid,
-        distortion=distortion,
+        w, key_vals, key_active, s, delivered, key_decoded, branch_u, excl
     )
+
+
+def _count_outcomes(
+    batch: TrialBatch, codebook_size: int, strategy: ReceiverStrategy
+) -> tuple[int, int]:
+    """(n_loss, n_conf): trials whose estimate is NULL_MSG, and wrong ones."""
+    w, s, u = batch.message, batch.ciphertext, batch.branch_u
+    synced = batch.delivered & batch.key_decoded
+    fallback = batch.delivered ^ synced
+    seen = fallback & (u < strategy.beta1)
+    excluded = fallback & (u >= strategy.beta1 + strategy.beta2)
+    dropped = fallback ^ seen ^ excluded
+    decrypted = crypto.decrypt_batch(s, batch.key, synced, codebook_size)
+    n_loss = batch.delivered.size - np.count_nonzero(batch.delivered)
+    n_loss += np.count_nonzero(dropped)
+    n_conf = np.count_nonzero(synced & (decrypted != w))
+    n_conf += np.count_nonzero(seen & (s != w))
+    n_conf += np.count_nonzero(excluded & (batch.exclusion_pick != w))
+    return int(n_loss), int(n_conf)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -167,8 +153,10 @@ def estimate_distortion(
     """Mean realized distortion over ``trials`` seeded pipeline walks.
 
     The trial stream is split into fixed-size chunks, each with its own
-    substream spawned from ``seed``; partial sums reduce in chunk order, so
-    the estimate is bit-identical for any ``workers`` value.
+    substream spawned from ``seed``.  Only integer outcome counts cross
+    chunks, and the mean and standard error are computed from them in exact
+    rational arithmetic and rounded once, so the estimate is bit-identical
+    for any ``workers`` value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -177,26 +165,34 @@ def estimate_distortion(
     sizes = _chunk_sizes(trials)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def run_chunk(idx: int) -> tuple[float, float]:
+    def run_chunk(idx: int) -> tuple[int, int]:
         rng = np.random.default_rng(seeds[idx])
-        d = simulate_batch(rng, scenario, eps_p, eps_s, strategy, sizes[idx]).distortion
-        return float(d.sum()), float(np.square(d).sum())
+        batch = simulate_batch(rng, scenario, eps_p, eps_s, sizes[idx])
+        return _count_outcomes(batch, scenario.codebook_size, strategy)
 
     if workers == 1 or len(sizes) == 1:
-        partials = [run_chunk(i) for i in range(len(sizes))]
+        counts = [run_chunk(i) for i in range(len(sizes))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, range(len(sizes))))
+            counts = list(pool.map(run_chunk, range(len(sizes))))
 
-    total = 0.0
-    total_sq = 0.0
-    for part, part_sq in partials:  # fixed chunk order
-        total += part
-        total_sq += part_sq
-    mean = total / trials
+    n_loss = sum(c[0] for c in counts)
+    n_conf = sum(c[1] for c in counts)
+    n_zero = trials - n_loss - n_conf
+    d_loss, d_conf = Fraction(scenario.d_loss), Fraction(scenario.d_conf)
+    mean = (n_loss * d_loss + n_conf * d_conf) / trials
     if trials > 1:
-        variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
-        std_error = float(np.sqrt(variance / trials))
+        # sum of (d - mean)^2: each pair of trials from two different
+        # outcome classes adds its squared gap over trials, so every term is
+        # non-negative and nothing cancels
+        spread = (
+            n_zero * n_loss * d_loss**2
+            + n_zero * n_conf * d_conf**2
+            + n_loss * n_conf * (d_conf - d_loss) ** 2
+        ) / trials
+        # scaled by d_conf so that the conversion to float cannot overflow
+        scaled = spread / (d_conf**2 * trials * (trials - 1))
+        std_error = scenario.d_conf * math.sqrt(scaled)
     else:
         std_error = float("nan")
-    return McEstimate(mean, std_error, trials, seed)
+    return McEstimate(float(mean), std_error, trials, seed)

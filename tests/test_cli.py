@@ -89,6 +89,9 @@ def test_unknown_and_missing_keys_rejected(tmp_path):
         ("seed", -1),
         ("d_max", 0.0),
         ("d_max", "small"),
+        pytest.param("d_loss", 10**400, id="d_loss-1e400"),
+        pytest.param("d_max", 10**400, id="d_max-1e400"),
+        pytest.param("payload_bits", 10**400, id="payload_bits-1e400"),
     ],
 )
 def test_bad_field_values_rejected(tmp_path, key, value):
@@ -314,6 +317,10 @@ def test_validate_bad_overrides(tmp_path, capsys):
     assert main(["validate", "--scenario", loud]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "4000" in err and err.count("\n") == 1
+    huge = write_doc(tmp_path, dict(BASE_DOC, d_loss=10**400), "huge.json")
+    assert main(["validate", "--scenario", huge]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d_loss" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Frozen expected values were computed with mpmath at 50 significant digits;
 the q_function test also recomputes its oracle in-process.
 """
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from pld.core import Scenario
@@ -32,6 +34,16 @@ def test_snr_conversion():
     assert snr_db_to_linear(0.0) == 1.0
     assert math.isclose(snr_db_to_linear(10.0), 10.0, rel_tol=1e-15)
     assert math.isclose(snr_db_to_linear(-10.0), 0.1, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_snr_conversion_range(kind):
+    for db in (-120.0, -10.0, 3.0, 3080.0):
+        assert snr_db_to_linear(kind(db)) == 10.0 ** (db / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="4000"):
+            snr_db_to_linear(kind(4000.0))
 
 
 def test_capacity_landmarks():

@@ -1,10 +1,12 @@
 """Stochastic pipeline simulation: laws, invariants, and reproducibility."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pld.core import Scenario
+from pld.core import NULL_MSG, Scenario, distance
+from pld.crypto import ShiftCipher
 from pld.distortion import (
     DROPPING,
     EXCLUSION,
@@ -16,6 +18,7 @@ from pld.distortion import (
 from pld.montecarlo import (
     CHUNK_TRIALS,
     McEstimate,
+    _count_outcomes,
     estimate_distortion,
     simulate_batch,
     simulate_trial,
@@ -69,7 +72,7 @@ def test_argument_validation():
 def test_batch_pipeline_invariants():
     sc = make_scenario(size=4, alpha=0.6)
     rng = np.random.default_rng(99)
-    batch = simulate_batch(rng, sc, 0.3, 0.4, CENTER, 20000)
+    batch = simulate_batch(rng, sc, 0.3, 0.4, 20000)
 
     assert batch.message.max() < 4
     assert batch.ciphertext.max() < 4
@@ -83,29 +86,59 @@ def test_batch_pipeline_invariants():
     # a key can only be decoded if one was actually sent
     assert not np.any(batch.key_decoded & ~active)
 
-    synced = batch.delivered & batch.key_decoded
-    assert np.array_equal(batch.estimate[synced], batch.message[synced])
-    assert np.all(batch.distortion[synced] == 0.0)
+    # exclusion guesses among the codewords other than the one received
+    assert np.all(batch.exclusion_pick != batch.ciphertext)
+    assert batch.exclusion_pick.max() < 4
 
-    assert not np.any(batch.estimate_valid[~batch.delivered])
-    fallback = batch.delivered & ~batch.key_decoded
-    assert not np.any(batch.estimate_valid[fallback & (batch.option == 1)])
-    seen = fallback & (batch.option == 0)
-    assert np.array_equal(batch.estimate[seen], batch.ciphertext[seen])
-    excluded = fallback & (batch.option == 2)
-    assert np.all(batch.estimate[excluded] != batch.ciphertext[excluded])
-    assert batch.estimate[excluded].max() < 4
 
-    missing = ~batch.estimate_valid
-    assert np.all(batch.distortion[missing] == 1.0)
-    wrong = batch.estimate_valid & (batch.estimate != batch.message)
-    assert np.all(batch.distortion[wrong] == 10.0)
-    right = batch.estimate_valid & (batch.estimate == batch.message)
-    assert np.all(batch.distortion[right] == 0.0)
+@pytest.mark.parametrize("size", [2, 4, 1 << 64])
+def test_outcome_counts_match_per_trial_scoring(size):
+    """The counting scorer agrees with the scalar cipher and distance per trial."""
+    sc = make_scenario(size=size, alpha=0.6)
+    strat = ReceiverStrategy(0.2, 0.3, 0.5)
+    batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
+    cipher = ShiftCipher(size)
+    n_loss = n_conf = 0
+    for i in range(batch.message.size):
+        w, s = int(batch.message[i]), int(batch.ciphertext[i])
+        u = batch.branch_u[i]
+        if not batch.delivered[i]:
+            w_hat = NULL_MSG
+        elif batch.key_decoded[i]:
+            w_hat = cipher.decrypt(s, int(batch.key[i]))
+        elif u < strat.beta1:
+            w_hat = s
+        elif u < strat.beta1 + strat.beta2:
+            w_hat = NULL_MSG
+        else:
+            w_hat = int(batch.exclusion_pick[i])
+        d = distance(w, w_hat, sc.distortion)
+        n_loss += d == sc.d_loss
+        n_conf += d == sc.d_conf
+    assert _count_outcomes(batch, size, strat) == (n_loss, n_conf)
 
-    n = batch.message.size
-    sigma = math.sqrt(0.3 * 0.7 / n)
-    assert abs(np.mean(batch.delivered) - 0.7) < 4 * sigma
+
+def test_branch_frequencies_match_their_probabilities():
+    """Branch shares checked one by one: errors that cancel in the mean show here."""
+    alpha, eps_p, eps_s = 0.6, 0.3, 0.4
+    strat = ReceiverStrategy(0.2, 0.3, 0.5)
+    batch = simulate_batch(
+        np.random.default_rng(23), make_scenario(size=4, alpha=alpha), eps_p, eps_s,
+        CHUNK_TRIALS,
+    )
+
+    def within_4_sigma(mask, p):
+        n = mask.size
+        return abs(np.count_nonzero(mask) / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    assert within_4_sigma(~batch.delivered, eps_p)
+    assert within_4_sigma(batch.key_active, alpha)
+    assert within_4_sigma(batch.key_decoded, alpha * (1 - eps_s))
+    u = batch.branch_u[batch.delivered & ~batch.key_decoded]
+    b1, b12 = strat.beta1, strat.beta1 + strat.beta2
+    assert within_4_sigma(u < b1, strat.beta1)
+    assert within_4_sigma((u >= b1) & (u < b12), strat.beta2)
+    assert within_4_sigma(u >= b12, strat.beta3)
 
 
 def test_scalar_walk_matches_closed_form():
@@ -146,6 +179,29 @@ def test_optimal_strategy_not_beaten_by_pure_options():
         assert best.mean <= other.mean + slack
 
 
+def test_std_error_does_not_cancel():
+    """Every trial is lost or confused: a huge mean over a tiny spread."""
+    sc = Scenario(codebook_size=4, d_loss=1e8, d_conf=1e8 + 1, alpha=1.0)
+    trials = 1 << 20
+    est = estimate_distortion(sc, 0.5, 1.0, PERCEPTION, trials, seed=5)
+    # mean = d_loss + n_conf / trials, and a float near 1e8 resolves 1 / trials
+    n_conf = round((est.mean - 1e8) * trials)
+    n_loss = trials - n_conf
+    d_loss, d_conf = Fraction(sc.d_loss), Fraction(sc.d_conf)
+    assert est.mean == float((n_loss * d_loss + n_conf * d_conf) / trials)
+    spread = n_loss * n_conf * (d_conf - d_loss) ** 2 / trials
+    want = math.sqrt(spread / (trials * (trials - 1)))
+    assert want == pytest.approx(4.88e-4, rel=1e-3)
+    assert est.std_error == pytest.approx(want, rel=1e-12)
+
+
+def test_std_error_stays_finite_near_the_float_limit():
+    sc = Scenario(codebook_size=4, d_loss=1.0, d_conf=1e200, alpha=0.5)
+    est = estimate_distortion(sc, 0.3, 0.3, CENTER, 10000, seed=1)
+    assert math.isfinite(est.mean)
+    assert math.isfinite(est.std_error) and est.std_error > 0
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
@@ -157,6 +213,40 @@ def test_same_seed_bit_identical():
     assert a == b
     c = estimate_distortion(sc, 0.2, 0.3, CENTER, 50000, seed=43)
     assert c.mean != a.mean
+
+
+#: (codebook, alpha, eps_p, eps_s, strategy, trials, seed) -> (exact mean,
+#: std_error), recorded before the kernel reduced chunks to outcome counts.
+#: Integer distortions make every partial sum exact, so the mean pins the
+#: draw stream bit for bit; the standard error only to rounding.
+PINNED = [
+    ((2, 0.99, 0.1, 0.2, PERCEPTION, CHUNK_TRIALS, 101),
+     (1.5511837005615234, 0.0037189315859180692)),
+    ((2, 0.5, 0.3, 0.4, CENTER, 2 * CHUNK_TRIALS, 102),
+     (2.533461570739746, 0.0023430350873762107)),
+    ((3, 0.7, 0.2, 0.35, EXCLUSION, CHUNK_TRIALS + 12345, 103),
+     (2.9703652216691854, 0.004222985032337395)),
+    ((3, 1.0, 0.5, 0.1, DROPPING, CHUNK_TRIALS, 104),
+     (1.6474113464355469, 0.0020615760097724037)),
+    ((4, 0.6, 0.3, 0.4, CENTER, CHUNK_TRIALS + 12345, 105),
+     (2.6541621555141037, 0.003388037597548125)),
+    ((4, 0.99, 0.01, 0.5, EXCLUSION, 2 * CHUNK_TRIALS, 106),
+     (2.38851261138916, 0.0032234558246175284)),
+    ((1 << 64, 0.99, 0.1, 0.2, DROPPING, CHUNK_TRIALS + 12345, 107),
+     (0.8605322445693798, 0.0018522438588318157)),
+    ((1 << 64, 0.5, 0.5, 0.5, EXCLUSION, CHUNK_TRIALS, 108),
+     (4.123319625854492, 0.0033448356955655257)),
+]
+
+
+@pytest.mark.parametrize("cell, pinned", PINNED)
+def test_draw_stream_is_pinned(cell, pinned):
+    size, alpha, eps_p, eps_s, strat, trials, seed = cell
+    sc = Scenario(codebook_size=size, d_loss=3.0, d_conf=7.0, alpha=alpha)
+    est = estimate_distortion(sc, eps_p, eps_s, strat, trials, seed)
+    mean, std_error = pinned
+    assert est.mean == mean
+    assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
 
 
 def test_worker_count_does_not_change_the_estimate():
