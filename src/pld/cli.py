@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import distortion, montecarlo, strategy
-from .channels import primary_pmf, secondary_pmf
+from .channels import TransportChannel, primary_pmf, secondary_pmf
 from .core import (
     ENUMERATION_CAP,
     NULL_KEY,
@@ -161,7 +161,10 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError(
             f"need lo < hi and step > 0, got lo={lo}, hi={hi}, step={step}"
         )
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    points = (hi - lo) / step + 1e-9
+    if not math.isfinite(points):  # hi - lo or the quotient overflowed
+        raise ValueError(f"SNR range {lo}..{hi} in steps of {step} has too many points")
+    count = int(math.floor(points)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -231,14 +234,25 @@ def cmd_sweep_receiver(args) -> int:
 
 
 def cmd_optimize_alpha(args) -> int:
+    # a curve depends on its own SNR only: evaluate each axis value once
     loaded = load_scenario_file(args.scenario)
+    bobs = snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step)
+    eves = snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step)
+    code = FblCode.from_scenario(loaded.scenario)
+
+    def value_of_alpha(snr: float) -> strategy.PiecewiseLinear:
+        channel = TransportChannel.from_snr_db(snr, code)
+        return strategy.receiver_value_of_alpha(
+            loaded.scenario, channel.eps_primary, channel.eps_secondary
+        )
+
+    value_eves = [value_of_alpha(snr) for snr in eves]
     rows = []
-    for snr_bob in snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step):
-        for snr_eve in snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step):
-            cell = replace(
-                loaded.scenario, snr_bob_db=snr_bob, snr_eve_db=snr_eve
-            )
-            plan = strategy.optimize_deception(cell, cell, loaded.d_max)
+    for snr_bob in bobs:
+        value_bob = value_of_alpha(snr_bob)
+        intervals = strategy.sublevel_intervals(value_bob, loaded.d_max)
+        for snr_eve, value_eve in zip(eves, value_eves):
+            plan = strategy.best_deception(value_bob, intervals, value_eve)
             rows.append(
                 (
                     snr_bob,

@@ -193,6 +193,36 @@ class DeceptionPlan:
     feasible: bool
 
 
+def best_deception(
+    value_bob: PiecewiseLinear,
+    intervals: tuple[tuple[float, float], ...],
+    value_eve: PiecewiseLinear,
+) -> DeceptionPlan:
+    """Maximize Eve's curve on Bob's ``sublevel_intervals`` (none: a nan plan).
+
+    Only interval endpoints and Eve's breakpoints inside an interval can be
+    maximal; ties go to the larger alpha (more deception, same objective).
+    """
+    if not intervals:
+        nan = float("nan")
+        return DeceptionPlan(nan, nan, nan, (), False)
+    candidates: set[float] = set()
+    for lo, hi in intervals:
+        candidates.update((lo, hi))
+        for x in value_eve.breakpoints:
+            if lo < x < hi:
+                candidates.add(x)
+    best_alpha = None
+    best_value = -math.inf
+    for alpha in sorted(candidates):
+        v = value_eve(alpha)
+        if v >= best_value:
+            best_alpha, best_value = alpha, v
+    return DeceptionPlan(
+        best_alpha, best_value, value_bob(best_alpha), intervals, True
+    )
+
+
 def optimize_deception(
     scenario_bob: Scenario,
     scenario_eve_expected: Scenario,
@@ -208,9 +238,7 @@ def optimize_deception(
     the same scenario twice for the usual single-config case, or channel
     overrides to inject error rates directly.  Both optimized distortions
     are concave piecewise-linear in alpha, so the constraint set is [0,1]
-    minus an open interval and the maximum sits on an interval endpoint or
-    an objective breakpoint.  Value ties resolve toward larger alpha (more
-    deception at no cost to the objective).
+    minus an open interval; ``best_deception`` searches it.
     """
     if not (math.isfinite(d_max) and d_max > 0):
         raise ValueError(f"d_max must be finite and > 0, got {d_max!r}")
@@ -236,23 +264,4 @@ def optimize_deception(
     value_eve = receiver_value_of_alpha(
         scenario_eve_expected, eve_channel.eps_primary, eve_channel.eps_secondary
     )
-    intervals = sublevel_intervals(value_bob, d_max)
-    if not intervals:
-        nan = float("nan")
-        return DeceptionPlan(nan, nan, nan, (), False)
-
-    candidates: set[float] = set()
-    for lo, hi in intervals:
-        candidates.update((lo, hi))
-        for x in value_eve.breakpoints:
-            if lo < x < hi:
-                candidates.add(x)
-    best_alpha = None
-    best_value = -math.inf
-    for alpha in sorted(candidates):
-        v = value_eve(alpha)
-        if v >= best_value:
-            best_alpha, best_value = alpha, v
-    return DeceptionPlan(
-        best_alpha, best_value, value_bob(best_alpha), intervals, True
-    )
+    return best_deception(value_bob, sublevel_intervals(value_bob, d_max), value_eve)

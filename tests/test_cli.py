@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import pld.distortion
-from pld.cli import ScenarioFile, load_scenario_file, main, snr_grid
+from pld.cli import ScenarioFile, _fmt, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
+from pld.strategy import optimize_deception
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +143,27 @@ def test_snr_grid_rejects_bad_ranges(lo, hi, step):
         snr_grid(lo, hi, step)
 
 
+# (hi - lo) / step overflows to inf: the grid would have infinitely many points
+ENDLESS_AXES = [("-5", "5", "5e-324"), ("-1e308", "1e308", "0.5")]
+
+
+@pytest.mark.parametrize("lo,hi,step", ENDLESS_AXES)
+@pytest.mark.parametrize(
+    "command,prefix",
+    [("error-table", "snr"), ("sweep-receiver", "snr"),
+     ("optimize-alpha", "bob-snr"), ("optimize-alpha", "eve-snr")],
+)
+def test_endless_snr_axis_rejected(tmp_path, capsys, command, prefix, lo, hi, step):
+    out = tmp_path / "out.csv"
+    path = str(SCENARIO_DIR / "small_codebook.json")
+    argv = [command, "--scenario", path, f"--{prefix}-lo={lo}",
+            f"--{prefix}-hi={hi}", f"--{prefix}-step={step}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(float(lo)) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # error-table
 # ---------------------------------------------------------------------------
@@ -258,6 +281,51 @@ def test_optimize_alpha_grid(tmp_path):
         else:
             assert snr_bob == 2.0
             assert row[2] == "nan" and row[3] == "nan" and row[4] == "nan"
+
+
+@pytest.mark.parametrize(
+    "name,two_interval_bobs",
+    [("small_codebook", [2.25, 2.5]), ("large_codebook", [2.5])],
+)
+def test_optimize_alpha_grid_matches_scalar_optimizer(
+    tmp_path, name, two_interval_bobs
+):
+    """Every CSV row is the scalar optimizer's plan for that one cell."""
+    path = str(SCENARIO_DIR / f"{name}.json")
+    loaded = load_scenario_file(path)
+    out = str(tmp_path / "grid.csv")
+    axes = []
+    for axis in ("bob", "eve"):
+        axes += [f"--{axis}-snr-lo", "-5", f"--{axis}-snr-hi", "5",
+                 f"--{axis}-snr-step", "0.25"]
+    assert main(["optimize-alpha", "--scenario", path, *axes, "--out", out]) == 0
+    _, rows = read_csv(out)
+    grid = snr_grid(-5.0, 5.0, 0.25)
+    assert len(rows) == len(grid) ** 2 == 41 * 41
+    two_intervals = set()
+    cells = ((b, e) for b in grid for e in grid)
+    for row, (snr_bob, snr_eve) in zip(rows, cells):
+        cell = replace(loaded.scenario, snr_bob_db=snr_bob, snr_eve_db=snr_eve)
+        plan = optimize_deception(cell, cell, loaded.d_max)
+        expected = (snr_bob, snr_eve, plan.alpha_opt, plan.eve_distortion,
+                    plan.bob_distortion, plan.feasible)
+        assert row == [_fmt(v) for v in expected]
+        if len(plan.feasible_intervals) == 2:
+            two_intervals.add(snr_bob)
+    assert sorted(two_intervals) == two_interval_bobs
+
+
+@pytest.mark.parametrize("axis", ["bob", "eve"])
+def test_optimize_alpha_snr_overflow(tmp_path, capsys, axis):
+    out = tmp_path / "grid.csv"
+    path = str(SCENARIO_DIR / "small_codebook.json")
+    argv = ["optimize-alpha", "--scenario", path, f"--{axis}-snr-lo", "3990",
+            f"--{axis}-snr-hi", "4000", f"--{axis}-snr-step", "10",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "3990" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SMALL = str(SCENARIO_DIR / "small_codebook.json")
 LARGE = str(SCENARIO_DIR / "large_codebook.json")
 
+
+def _axes(axis, lo, hi, step):
+    return [f"--{axis}-snr-lo", lo, f"--{axis}-snr-hi", hi,
+            f"--{axis}-snr-step", step]
+
+
 GOLDEN = [
     (["error-table"],
      "68c8d94dd12372f8e7ca8ef2df427374d8eb1afa4a6c221c3d206ccdec3ec298"),
@@ -27,6 +33,10 @@ GOLDEN = [
      "3dfb65e4384b5c0bd5158af7f67152f0670d8c79b761725e42dd1b37dd43b7ff"),
     (["optimize-alpha", "--scenario", LARGE],
      "d4afd9d5fe132f94a6aa109febdf424020e3ee8d17c1a115e55ba32847bc31d8"),
+    # the benchmark's grid: -5..5 dB in 0.05 dB steps on both axes, 201x201
+    (["optimize-alpha", "--scenario", LARGE,
+      *_axes("bob", "-5", "5", "0.05"), *_axes("eve", "-5", "5", "0.05")],
+     "2c2d99411714566dd994b8a19a35b55ca9e7cddf3af639f402bf84a435ddc6d0"),
     (["validate", "--scenario", SMALL, "--trials", "20000", "--seed", "3"],
      "718c95d46bec0e9139b4959d01f196600d2b889372368884710161369912c39f"),
 ]
@@ -36,7 +46,8 @@ GOLDEN = [
     "argv,digest",
     GOLDEN,
     ids=["error-table", "sweep-receiver-small", "sweep-receiver-large",
-         "optimize-alpha-small", "optimize-alpha-large", "validate-small"],
+         "optimize-alpha-small", "optimize-alpha-large",
+         "optimize-alpha-large-201x201", "validate-small"],
 )
 def test_cli_output_digest(tmp_path, argv, digest):
     out = tmp_path / "out.txt"

@@ -13,6 +13,7 @@ from pld.strategy import (
     OPTION_LABELS,
     LinearPiece,
     PiecewiseLinear,
+    best_deception,
     lower_envelope,
     optimal_receiver_strategy,
     optimize_deception,
@@ -124,17 +125,16 @@ def test_piece_lookup_and_domain():
         pwl.piece_at(-0.1)
 
 
+TENT = PiecewiseLinear(
+    (LinearPiece(0.0, 0.5, 0.0, 2.0, "a"), LinearPiece(0.5, 1.0, 2.0, -2.0, "b"))
+)
+
+
 def test_sublevel_intervals_of_tent():
-    tent = PiecewiseLinear(
-        (
-            LinearPiece(0.0, 0.5, 0.0, 2.0, "a"),
-            LinearPiece(0.5, 1.0, 2.0, -2.0, "b"),
-        )
-    )
-    assert sublevel_intervals(tent, 0.5) == ((0.0, 0.25), (0.75, 1.0))
-    assert sublevel_intervals(tent, 1.5) == ((0.0, 1.0),)
-    assert sublevel_intervals(tent, 0.0) == ((0.0, 0.0), (1.0, 1.0))
-    assert sublevel_intervals(tent, -1.0) == ()
+    assert sublevel_intervals(TENT, 0.5) == ((0.0, 0.25), (0.75, 1.0))
+    assert sublevel_intervals(TENT, 1.5) == ((0.0, 1.0),)
+    assert sublevel_intervals(TENT, 0.0) == ((0.0, 0.0), (1.0, 1.0))
+    assert sublevel_intervals(TENT, -1.0) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,43 @@ def test_envelope_floor_at_zero_deception():
 # ---------------------------------------------------------------------------
 # transmitter optimization
 # ---------------------------------------------------------------------------
+
+def test_best_deception_searches_second_interval():
+    intervals = sublevel_intervals(TENT, 0.5)
+    assert intervals == ((0.0, 0.25), (0.75, 1.0))
+    # Eve peaks at her breakpoint 0.9, inside Bob's second interval only
+    eve = PiecewiseLinear(
+        (
+            LinearPiece(0.0, 0.9, 0.0, 1.0, "up"),
+            LinearPiece(0.9, 1.0, 1.8, -1.0, "down"),
+        )
+    )
+    plan = best_deception(TENT, intervals, eve)
+    assert plan.feasible
+    assert plan.feasible_intervals == intervals
+    assert plan.alpha_opt == 0.9
+    assert plan.eve_distortion == 0.9
+    assert plan.bob_distortion == TENT(0.9)
+
+
+def test_best_deception_without_intervals_is_nan():
+    plan = best_deception(TENT, (), TENT)
+    assert not plan.feasible
+    assert plan.feasible_intervals == ()
+    assert all(math.isnan(v) for v in
+               (plan.alpha_opt, plan.eve_distortion, plan.bob_distortion))
+
+
+def test_best_deception_tie_takes_larger_alpha():
+    # Eve's curve is flat on [0.5, 1]: the breakpoint and the right end tie
+    eve = PiecewiseLinear(
+        (LinearPiece(0.0, 0.5, 0.0, 1.0, "up"), LinearPiece(0.5, 1.0, 0.5, 0.0, "flat"))
+    )
+    plan = best_deception(TENT, ((0.0, 1.0),), eve)
+    assert plan.alpha_opt == 1.0
+    assert plan.eve_distortion == 0.5
+    assert plan.bob_distortion == 0.0
+
 
 def test_optimizer_finds_interior_peak():
     sc = make_scenario(size=1 << 64, snr_bob_db=4.0, snr_eve_db=0.0)
