@@ -8,9 +8,11 @@ success, 1 when a validation gate fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,19 +140,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _csv_lines(rows: list[tuple]) -> str:
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def write_text(blocks: Iterable[str], out: str | None) -> None:
+    """Write each text block in turn to ``out`` (stdout without one)."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
-def write_csv(header: list[str], rows: list[tuple], out: str | None) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    write_lines(lines, out)
+def write_csv(header: list[str], blocks: Iterable[str], out: str | None) -> None:
+    """Write the header line, then each block of whole lines as it comes."""
+    write_text(itertools.chain([",".join(header) + "\n"], blocks), out)
+
+
+# points allowed on one SNR axis; a finer range is almost surely a typo
+_MAX_SNR_POINTS = 10**7
 
 
 def snr_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -162,8 +171,11 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
             f"need lo < hi and step > 0, got lo={lo}, hi={hi}, step={step}"
         )
     points = (hi - lo) / step + 1e-9
-    if not math.isfinite(points):  # hi - lo or the quotient overflowed
-        raise ValueError(f"SNR range {lo}..{hi} in steps of {step} has too many points")
+    if not points < _MAX_SNR_POINTS:  # also inf: hi - lo or the quotient overflowed
+        raise ValueError(
+            f"SNR range {lo}..{hi} in steps of {step} has more than "
+            f"{_MAX_SNR_POINTS} points"
+        )
     count = int(math.floor(points)) + 1
     return [lo + i * step for i in range(count)]
 
@@ -186,7 +198,7 @@ def cmd_error_table(args) -> int:
     rows = []
     for snr in snr_grid(args.snr_lo, args.snr_hi, args.snr_step):
         rows.append((snr, packet_error_rate(snr_db_to_linear(snr), code)))
-    write_csv(["snr_db", "epsilon"], rows, args.out)
+    write_csv(["snr_db", "epsilon"], [_csv_lines(rows)], args.out)
     return 0
 
 
@@ -227,14 +239,49 @@ def cmd_sweep_receiver(args) -> int:
             "beta3",
             "d_tilde_min",
         ],
-        rows,
+        [_csv_lines(rows)],
         args.out,
     )
     return 0
 
 
+class _Reprs(dict):
+    """``repr`` of each float looked up, memoised.  Zeros are not kept:
+    0.0 and -0.0 are one key but two strings."""
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _deception_blocks(
+    bobs: list[float],
+    value_bobs: list[strategy.PiecewiseLinear],
+    intervals: list[tuple[tuple[float, float], ...]],
+    eves: list[float],
+    value_eves: np.ndarray,
+) -> Iterator[str]:
+    """The optimize-alpha CSV lines of each Bob SNR in turn, one block each."""
+    eve_cells = [repr(snr) + "," for snr in eves]
+    infeasible = [cell + "nan,nan,nan,false" for cell in eve_cells]
+    reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
+    for snr, value_bob, feasible in zip(bobs, value_bobs, intervals):
+        head = repr(snr) + ","
+        if not feasible:
+            yield head + ("\n" + head).join(infeasible) + "\n"
+            continue
+        plans = strategy.deception_search(value_bob, feasible, value_eves)
+        yield "".join([
+            f"{head}{cell}{reprs[a]},{reprs[e]},{b!r},true\n"
+            for cell, a, e, b in zip(eve_cells, *(v.tolist() for v in plans))
+        ])
+
+
 def cmd_optimize_alpha(args) -> int:
-    # a curve depends on its own SNR only: evaluate each axis value once
+    # a curve depends on its own SNR only: evaluate each axis value once,
+    # all of them before --out is opened, as only they can fail
     loaded = load_scenario_file(args.scenario)
     bobs = snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step)
     eves = snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step)
@@ -246,23 +293,9 @@ def cmd_optimize_alpha(args) -> int:
             loaded.scenario, channel.eps_primary, channel.eps_secondary
         )
 
-    value_eves = [value_of_alpha(snr) for snr in eves]
-    rows = []
-    for snr_bob in bobs:
-        value_bob = value_of_alpha(snr_bob)
-        intervals = strategy.sublevel_intervals(value_bob, loaded.d_max)
-        for snr_eve, value_eve in zip(eves, value_eves):
-            plan = strategy.best_deception(value_bob, intervals, value_eve)
-            rows.append(
-                (
-                    snr_bob,
-                    snr_eve,
-                    plan.alpha_opt,
-                    plan.eve_distortion,
-                    plan.bob_distortion,
-                    plan.feasible,
-                )
-            )
+    value_eves = strategy.stack_curves([value_of_alpha(snr) for snr in eves])
+    value_bobs = [value_of_alpha(snr) for snr in bobs]
+    intervals = [strategy.sublevel_intervals(v, loaded.d_max) for v in value_bobs]
     write_csv(
         [
             "snr_bob_db",
@@ -272,7 +305,7 @@ def cmd_optimize_alpha(args) -> int:
             "bob_distortion",
             "feasible",
         ],
-        rows,
+        _deception_blocks(bobs, value_bobs, intervals, eves, value_eves),
         args.out,
     )
     return 0
@@ -496,7 +529,7 @@ def cmd_validate(args) -> int:
         f"gates: {counts['PASS']} passed, {counts['FAIL']} failed, "
         f"{counts['SKIP']} skipped"
     )
-    write_lines(lines, args.out)
+    write_text(["\n".join(lines) + "\n"], args.out)
     return 1 if counts["FAIL"] else 0
 
 

@@ -15,6 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .channels import TransportChannel
 from .core import Scenario
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
@@ -193,33 +195,79 @@ class DeceptionPlan:
     feasible: bool
 
 
+def stack_curves(curves: list[PiecewiseLinear]) -> np.ndarray:
+    """Curves as one ``(3, n, w)`` array: piece starts, intercepts, slopes.
+
+    ``w`` is the largest piece count; a shorter curve is padded with pieces
+    that start at +inf, which no point in the domain reaches.
+    """
+    width = max(len(curve.pieces) for curve in curves)
+    pad = [(math.inf, math.inf, math.inf)]
+    rows = [
+        [(p.lo, p.intercept, p.slope) for p in curve.pieces]
+        + pad * (width - len(curve.pieces))
+        for curve in curves
+    ]
+    return np.array(rows, dtype=np.float64).transpose(2, 0, 1)
+
+
+def _values_at(curves: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of ``x`` evaluated on stacked curve i, bit for bit as ``piece_at``.
+
+    The piece is the one after every breakpoint <= x (``bisect_right``), and
+    its value is ``intercept + slope*x``, the same two IEEE operations.
+    """
+    starts, intercepts, slopes = curves
+    piece = (starts[:, None, 1:] <= x[:, :, None]).sum(axis=2)
+    return (
+        np.take_along_axis(intercepts, piece, 1)
+        + np.take_along_axis(slopes, piece, 1) * x
+    )
+
+
+def deception_search(
+    value_bob: PiecewiseLinear,
+    intervals: tuple[tuple[float, float], ...],
+    eves: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize every stacked Eve curve on Bob's ``sublevel_intervals``.
+
+    Returns ``(alpha_opt, eve_distortion, bob_distortion)``, one entry per
+    curve of ``eves`` (see ``stack_curves``), all nan without an interval.
+    Only interval endpoints and Eve's breakpoints strictly inside an
+    interval can be maximal; ties go to the larger alpha (more deception,
+    same objective).
+    """
+    n = eves.shape[1]
+    if not intervals:
+        nan = np.full(n, math.nan)
+        return nan, nan, nan
+    ends = np.array(intervals, dtype=np.float64).ravel()
+    breaks = eves[0, :, 1:]
+    inside = np.zeros(breaks.shape, dtype=bool)
+    for lo, hi in intervals:
+        inside |= (lo < breaks) & (breaks < hi)
+    # a breakpoint outside every interval stands in as a repeated endpoint
+    x = np.concatenate(
+        (np.broadcast_to(ends, (n, ends.size)), np.where(inside, breaks, ends[0])),
+        axis=1,
+    )
+    values = _values_at(eves, x)
+    best = values.max(axis=1)
+    alpha = np.where(values == best[:, None], x, -math.inf).max(axis=1)
+    bob = _values_at(stack_curves([value_bob]), alpha[None, :])[0]
+    return alpha, best, bob
+
+
 def best_deception(
     value_bob: PiecewiseLinear,
     intervals: tuple[tuple[float, float], ...],
     value_eve: PiecewiseLinear,
 ) -> DeceptionPlan:
-    """Maximize Eve's curve on Bob's ``sublevel_intervals`` (none: a nan plan).
-
-    Only interval endpoints and Eve's breakpoints inside an interval can be
-    maximal; ties go to the larger alpha (more deception, same objective).
-    """
-    if not intervals:
-        nan = float("nan")
-        return DeceptionPlan(nan, nan, nan, (), False)
-    candidates: set[float] = set()
-    for lo, hi in intervals:
-        candidates.update((lo, hi))
-        for x in value_eve.breakpoints:
-            if lo < x < hi:
-                candidates.add(x)
-    best_alpha = None
-    best_value = -math.inf
-    for alpha in sorted(candidates):
-        v = value_eve(alpha)
-        if v >= best_value:
-            best_alpha, best_value = alpha, v
+    """``deception_search`` for a single Eve curve, as a plan."""
+    alpha, eve, bob = deception_search(value_bob, intervals, stack_curves([value_eve]))
     return DeceptionPlan(
-        best_alpha, best_value, value_bob(best_alpha), intervals, True
+        float(alpha[0]), float(eve[0]), float(bob[0]), intervals, bool(intervals)
     )
 
 
@@ -238,7 +286,7 @@ def optimize_deception(
     the same scenario twice for the usual single-config case, or channel
     overrides to inject error rates directly.  Both optimized distortions
     are concave piecewise-linear in alpha, so the constraint set is [0,1]
-    minus an open interval; ``best_deception`` searches it.
+    minus an open interval; ``deception_search`` searches it.
     """
     if not (math.isfinite(d_max) and d_max > 0):
         raise ValueError(f"d_max must be finite and > 0, got {d_max!r}")

@@ -143,8 +143,9 @@ def test_snr_grid_rejects_bad_ranges(lo, hi, step):
         snr_grid(lo, hi, step)
 
 
-# (hi - lo) / step overflows to inf: the grid would have infinitely many points
-ENDLESS_AXES = [("-5", "5", "5e-324"), ("-1e308", "1e308", "0.5")]
+# (hi - lo) / step overflows to inf, or counts 1e301 points: over the bound
+ENDLESS_AXES = [("-5", "5", "5e-324"), ("-1e308", "1e308", "0.5"),
+                ("-5", "5", "1e-300")]
 
 
 @pytest.mark.parametrize("lo,hi,step", ENDLESS_AXES)
@@ -313,6 +314,29 @@ def test_optimize_alpha_grid_matches_scalar_optimizer(
         if len(plan.feasible_intervals) == 2:
             two_intervals.add(snr_bob)
     assert sorted(two_intervals) == two_interval_bobs
+
+
+def test_optimize_alpha_streams_a_large_grid(tmp_path):
+    """A 1001x1001 grid is written row by row, not held in memory at once."""
+    out = tmp_path / "grid.csv"
+    axes = []
+    for axis in ("bob", "eve"):
+        axes += [f"--{axis}-snr-lo", "-5", f"--{axis}-snr-hi", "5",
+                 f"--{axis}-snr-step", "0.01"]
+    argv = ["optimize-alpha", "--scenario", str(SCENARIO_DIR / "large_codebook.json"),
+            *axes, "--out", str(out)]
+    child = (
+        "import resource; from pld.cli import main; "
+        f"print(main({argv!r}), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, max_rss_kib = done.stdout.split()  # ru_maxrss is in KiB on Linux
+    assert code == "0" and out.exists()
+    peak_mb = int(max_rss_kib) / 1024
+    assert peak_mb < 150
 
 
 @pytest.mark.parametrize("axis", ["bob", "eve"])

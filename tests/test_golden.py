@@ -37,6 +37,11 @@ GOLDEN = [
     (["optimize-alpha", "--scenario", LARGE,
       *_axes("bob", "-5", "5", "0.05"), *_axes("eve", "-5", "5", "0.05")],
      "2c2d99411714566dd994b8a19a35b55ca9e7cddf3af639f402bf84a435ddc6d0"),
+    # 1001x1001 in 0.01 dB steps; pins as they are the 1,852 feasible rows
+    # whose bob_distortion rounds above d_max (0.010000000000000002 or ...09)
+    (["optimize-alpha", "--scenario", LARGE,
+      *_axes("bob", "-5", "5", "0.01"), *_axes("eve", "-5", "5", "0.01")],
+     "9f0db3b443875d41c391ce126f97ee587d85a8ddc9fc6e2c83b41a4317d53d52"),
     (["validate", "--scenario", SMALL, "--trials", "20000", "--seed", "3"],
      "718c95d46bec0e9139b4959d01f196600d2b889372368884710161369912c39f"),
 ]
@@ -47,7 +52,8 @@ GOLDEN = [
     GOLDEN,
     ids=["error-table", "sweep-receiver-small", "sweep-receiver-large",
          "optimize-alpha-small", "optimize-alpha-large",
-         "optimize-alpha-large-201x201", "validate-small"],
+         "optimize-alpha-large-201x201", "optimize-alpha-large-1001x1001",
+         "validate-small"],
 )
 def test_cli_output_digest(tmp_path, argv, digest):
     out = tmp_path / "out.txt"

@@ -14,10 +14,12 @@ from pld.strategy import (
     LinearPiece,
     PiecewiseLinear,
     best_deception,
+    deception_search,
     lower_envelope,
     optimal_receiver_strategy,
     optimize_deception,
     receiver_value_of_alpha,
+    stack_curves,
     sublevel_intervals,
 )
 
@@ -219,6 +221,67 @@ def test_best_deception_tie_takes_larger_alpha():
     assert plan.alpha_opt == 1.0
     assert plan.eve_distortion == 0.5
     assert plan.bob_distortion == 0.0
+
+
+def scalar_search(value_bob, intervals, value_eve):
+    """Reference: the ascending ``>=`` scan over the set of candidates."""
+    if not intervals:
+        return (math.nan,) * 3
+    candidates = set()
+    for lo, hi in intervals:
+        candidates.update((lo, hi))
+        candidates.update(x for x in value_eve.breakpoints if lo < x < hi)
+    best_alpha, best_value = None, -math.inf
+    for alpha in sorted(candidates):
+        value = value_eve(alpha)
+        if value >= best_value:
+            best_alpha, best_value = alpha, value
+    return best_alpha, best_value, value_bob(best_alpha)
+
+
+def curve(*pieces):
+    """A piecewise-linear curve from (lo, hi, intercept, slope) pieces."""
+    return PiecewiseLinear(tuple(LinearPiece(*p, "p") for p in pieces))
+
+
+SEARCH_EVES = [
+    curve((0.0, 1.0, 0.2, 0.5)),  # one piece: padded in the stack
+    # jumps at 0.25, an endpoint of Bob's tent intervals: the right piece counts
+    curve((0.0, 0.25, 0.0, 1.0), (0.25, 1.0, 1.0, -1.0)),
+    # equal at 0.25 and 0.75, one in each tent interval: 0.75 wins
+    curve((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, -1.0)),
+    curve((0.0, 0.9, 0.0, 1.0), (0.9, 1.0, 1.8, -1.0)),
+    curve((0.0, 0.1, 0.0, 3.0), (0.1, 0.8, 0.2, 1.0), (0.8, 1.0, 1.8, -1.0)),
+    curve((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.5, 0.0)),  # flat: ties to alpha 1
+]
+
+
+@pytest.mark.parametrize(
+    "level,intervals",
+    [(0.5, ((0.0, 0.25), (0.75, 1.0))),  # two intervals
+     (0.0, ((0.0, 0.0), (1.0, 1.0))),  # degenerate intervals (x, x)
+     (1.5, ((0.0, 1.0),)),
+     (-1.0, ())],  # no interval: the nan plan
+)
+def test_stacked_search_matches_one_curve_and_scalar_scan(level, intervals):
+    assert sublevel_intervals(TENT, level) == intervals
+    stacked = deception_search(TENT, intervals, stack_curves(SEARCH_EVES))
+    for i, eve in enumerate(SEARCH_EVES):
+        plan = best_deception(TENT, intervals, eve)
+        one = (plan.alpha_opt, plan.eve_distortion, plan.bob_distortion)
+        row = tuple(float(v[i]) for v in stacked)
+        assert repr(row) == repr(one) == repr(scalar_search(TENT, intervals, eve))
+
+
+def test_stacked_search_edge_cases():
+    alpha, eve, _ = deception_search(
+        TENT, ((0.0, 0.25), (0.75, 1.0)), stack_curves(SEARCH_EVES[:3])
+    )
+    # single piece: its right end; breakpoint at an endpoint: 0.25 on the
+    # right piece (1 - 0.25), not the left (0.25), which would tie with 0.75
+    # and lose; a tie across the intervals: the larger alpha
+    assert alpha.tolist() == [1.0, 0.25, 0.75]
+    assert eve.tolist() == [0.7, 0.75, 0.25]
 
 
 def test_optimizer_finds_interior_peak():
