@@ -185,12 +185,19 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _error_table_code(args) -> FblCode:
+    flagged = args.payload_bits is not None or args.code_rate is not None
     if args.scenario is not None:
+        if flagged:
+            raise ValueError(
+                "--scenario and --payload-bits/--code-rate exclude each other"
+            )
         return FblCode.from_scenario(load_scenario_file(args.scenario).scenario)
-    bad = code_violations(args.payload_bits, args.code_rate)
+    payload_bits = 64 if args.payload_bits is None else args.payload_bits
+    code_rate = 0.5 if args.code_rate is None else args.code_rate
+    bad = code_violations(payload_bits, code_rate)
     if bad:
         raise ScenarioError(bad)
-    return FblCode(round(args.payload_bits / args.code_rate), args.payload_bits)
+    return FblCode(round(payload_bits / code_rate), payload_bits)
 
 
 def cmd_error_table(args) -> int:
@@ -373,6 +380,11 @@ def _gate_channel_rows(eps_values: list[float]) -> GateResult:
     return GateResult("channel-pmf-rows", status, f"max row-sum deviation {worst:.3e}")
 
 
+def _rel_diff_gate(name: str, worst: float, tol: float) -> GateResult:
+    status = "PASS" if worst <= tol else "FAIL"
+    return GateResult(name, status, f"max rel diff {worst:.3e} (tol {tol:g})")
+
+
 _GATE_STRATEGIES = (
     PERCEPTION,
     DROPPING,
@@ -399,12 +411,7 @@ def _gate_enumeration(
             ).total
             oracle = distortion.enumeration_oracle(scenario, eps_p, eps_s, strat)
             worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
-    status = "PASS" if worst <= 1e-10 else "FAIL"
-    return GateResult(
-        "closed-form-vs-enumeration",
-        status,
-        f"max rel diff {worst:.3e} (tol 1e-10)",
-    )
+    return _rel_diff_gate("closed-form-vs-enumeration", worst, 1e-10)
 
 
 def _gate_perception_reduction(
@@ -421,10 +428,7 @@ def _gate_perception_reduction(
             sc, float(eps_p), float(eps_s)
         ).total
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    status = "PASS" if worst <= 1e-12 else "FAIL"
-    return GateResult(
-        "perception-vs-pipeline", status, f"max rel diff {worst:.3e} (tol 1e-12)"
-    )
+    return _rel_diff_gate("perception-vs-pipeline", worst, 1e-12)
 
 
 def _gate_monte_carlo(
@@ -491,10 +495,7 @@ def _gate_decomposition(
         for rep in reports:
             gap = abs(rep.total - (rep.loss_part + rep.confusion_part))
             worst = max(worst, gap / max(1.0, abs(rep.total)))
-    status = "PASS" if worst <= 1e-12 else "FAIL"
-    return GateResult(
-        "report-decomposition", status, f"max rel diff {worst:.3e} (tol 1e-12)"
-    )
+    return _rel_diff_gate("report-decomposition", worst, 1e-12)
 
 
 def run_validation(loaded: ScenarioFile, workers: int = 1) -> list[GateResult]:
@@ -552,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("error-table", help="packet error rate vs SNR")
-    p.add_argument("--payload-bits", type=int, default=64)
-    p.add_argument("--code-rate", type=float, default=0.5)
+    p.add_argument("--payload-bits", type=int, help="info bits k (default 64)")
+    p.add_argument("--code-rate", type=float, help="k/n (default 0.5)")
     _add_snr_range(p)
     p.set_defaults(func=cmd_error_table)
 

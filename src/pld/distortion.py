@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import primary_pmf, secondary_pmf
+from .channels import _check_eps, primary_pmf, secondary_pmf
 from .core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Key, Scenario
-
-
-def _check_prob(value: float, label: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
 
 
 def _check_key(k: Key, codebook_size: int, label: str) -> None:
@@ -88,7 +83,7 @@ def distortion_synchronized_key(scenario: Scenario, eps_p: float, k: Key) -> flo
     Decryption then undoes encryption on every delivered codeword, so only
     erasures cost anything: eps_p * d_loss, for every k including NULL_KEY.
     """
-    _check_prob(eps_p, "eps_p")
+    _check_eps(eps_p, "eps_p")
     _check_key(k, scenario.codebook_size, "k")
     return eps_p * scenario.d_loss
 
@@ -102,7 +97,7 @@ def distortion_mismatched_key(
     delivered codeword to a wrong valid meaning, adding (1-eps_p)*d_conf on
     top of the erasure loss.
     """
-    _check_prob(eps_p, "eps_p")
+    _check_eps(eps_p, "eps_p")
     _check_key(k, scenario.codebook_size, "k")
     _check_key(k_hat, scenario.codebook_size, "k_hat")
     same = (k is NULL_KEY) == (k_hat is NULL_KEY) and k == k_hat
@@ -121,8 +116,8 @@ def deterministic_pipeline_distortion(
     codeword still arrived; then the plaintext reading is off by the key
     shift: D = eps_p*d_loss + alpha*(1-eps_p)*eps_s*d_conf.
     """
-    _check_prob(eps_p, "eps_p")
-    _check_prob(eps_s, "eps_s")
+    _check_eps(eps_p, "eps_p")
+    _check_eps(eps_s, "eps_s")
     loss = eps_p * scenario.d_loss
     confusion = scenario.alpha * (1.0 - eps_p) * eps_s * scenario.d_conf
     return DistortionReport(loss + confusion, loss, confusion, "deterministic")
@@ -145,7 +140,7 @@ def delta_terms(scenario: Scenario, eps_s: float) -> DeltaTerms:
 
 def _delta_terms_at(scenario: Scenario, eps_s: float, a: float) -> DeltaTerms:
     """``delta_terms`` at activation rate ``a``; the scenario's alpha is unused."""
-    _check_prob(eps_s, "eps_s")
+    _check_eps(eps_s, "eps_s")
     # (S-2)/(S-1), exactly 0 at S=2 and stable (rounds to 1.0) at S=2**64.
     wrong_ratio = 1.0 - 1.0 / (scenario.codebook_size - 1)
     delta1 = eps_s * a * scenario.d_conf
@@ -164,7 +159,7 @@ def opportunistic_distortion(
     Dropping's contribution counts as loss alongside the erasures; the
     perception and exclusion contributions count as confusion.
     """
-    _check_prob(eps_p, "eps_p")
+    _check_eps(eps_p, "eps_p")
     d = delta_terms(scenario, eps_s)
     deliver = 1.0 - eps_p
     loss = eps_p * scenario.d_loss + deliver * strategy.beta2 * d.delta2
@@ -204,8 +199,8 @@ def enumeration_oracle(
         raise ValueError(
             f"codebook_size {size} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    _check_prob(eps_p, "eps_p")
-    _check_prob(eps_s, "eps_s")
+    _check_eps(eps_p, "eps_p")
+    _check_eps(eps_s, "eps_s")
 
     alpha = scenario.alpha
     d_loss, d_conf = scenario.d_loss, scenario.d_conf

@@ -259,21 +259,8 @@ def deception_search(
     return alpha, best, bob
 
 
-def best_deception(
-    value_bob: PiecewiseLinear,
-    intervals: tuple[tuple[float, float], ...],
-    value_eve: PiecewiseLinear,
-) -> DeceptionPlan:
-    """``deception_search`` for a single Eve curve, as a plan."""
-    alpha, eve, bob = deception_search(value_bob, intervals, stack_curves([value_eve]))
-    return DeceptionPlan(
-        float(alpha[0]), float(eve[0]), float(bob[0]), intervals, bool(intervals)
-    )
-
-
 def optimize_deception(
-    scenario_bob: Scenario,
-    scenario_eve_expected: Scenario,
+    scenario: Scenario,
     d_max: float,
     *,
     bob_channel: TransportChannel | None = None,
@@ -281,35 +268,27 @@ def optimize_deception(
 ) -> DeceptionPlan:
     """Choose alpha maximizing Eve's distortion subject to Bob's cap.
 
-    Bob's channel comes from ``scenario_bob`` at its snr_bob_db; Eve's from
-    ``scenario_eve_expected`` at its snr_eve_db (her expected SNR) — pass
-    the same scenario twice for the usual single-config case, or channel
-    overrides to inject error rates directly.  Both optimized distortions
-    are concave piecewise-linear in alpha, so the constraint set is [0,1]
-    minus an open interval; ``deception_search`` searches it.
+    Bob's channel comes from the scenario's snr_bob_db and Eve's from its
+    snr_eve_db (her expected SNR), both on the scenario's code, unless a
+    channel override injects error rates directly.  Both optimized
+    distortions are concave piecewise-linear in alpha, so the constraint set
+    is [0,1] minus an open interval; ``deception_search`` searches it.
     """
     if not (math.isfinite(d_max) and d_max > 0):
         raise ValueError(f"d_max must be finite and > 0, got {d_max!r}")
-    for field in ("codebook_size", "d_loss", "d_conf"):
-        if getattr(scenario_bob, field) != getattr(scenario_eve_expected, field):
-            raise ValueError(
-                f"scenarios disagree on {field}: "
-                f"{getattr(scenario_bob, field)!r} vs "
-                f"{getattr(scenario_eve_expected, field)!r}"
-            )
+    code = FblCode.from_scenario(scenario)
     if bob_channel is None:
-        bob_channel = TransportChannel.from_snr_db(
-            scenario_bob.snr_bob_db, FblCode.from_scenario(scenario_bob)
-        )
+        bob_channel = TransportChannel.from_snr_db(scenario.snr_bob_db, code)
     if eve_channel is None:
-        eve_channel = TransportChannel.from_snr_db(
-            scenario_eve_expected.snr_eve_db,
-            FblCode.from_scenario(scenario_eve_expected),
-        )
+        eve_channel = TransportChannel.from_snr_db(scenario.snr_eve_db, code)
     value_bob = receiver_value_of_alpha(
-        scenario_bob, bob_channel.eps_primary, bob_channel.eps_secondary
+        scenario, bob_channel.eps_primary, bob_channel.eps_secondary
     )
     value_eve = receiver_value_of_alpha(
-        scenario_eve_expected, eve_channel.eps_primary, eve_channel.eps_secondary
+        scenario, eve_channel.eps_primary, eve_channel.eps_secondary
     )
-    return best_deception(value_bob, sublevel_intervals(value_bob, d_max), value_eve)
+    intervals = sublevel_intervals(value_bob, d_max)
+    alpha, eve, bob = deception_search(value_bob, intervals, stack_curves([value_eve]))
+    return DeceptionPlan(
+        float(alpha[0]), float(eve[0]), float(bob[0]), intervals, bool(intervals)
+    )

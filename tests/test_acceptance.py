@@ -215,13 +215,13 @@ def test_c08_optimizer_matches_grid_search(report):
         if trial % 2:
             bob = TransportChannel(float(rng.random()), float(rng.random()))
             eve = TransportChannel(float(rng.random()), float(rng.random()))
-            plan = optimize_deception(sc, sc, d_max, bob_channel=bob,
+            plan = optimize_deception(sc, d_max, bob_channel=bob,
                                       eve_channel=eve)
         else:
             code = FblCode.from_scenario(sc)
             bob = TransportChannel.from_snr_db(sc.snr_bob_db, code)
             eve = TransportChannel.from_snr_db(sc.snr_eve_db, code)
-            plan = optimize_deception(sc, sc, d_max)
+            plan = optimize_deception(sc, d_max)
         vb = receiver_value_of_alpha(sc, bob.eps_primary, bob.eps_secondary)
         ve = receiver_value_of_alpha(sc, eve.eps_primary, eve.eps_secondary)
         vb_vals = pwl_on_grid(vb, grid)
@@ -260,7 +260,7 @@ def test_c09_deception_sweep_monotone(report):
         alphas, eve_vals = [], []
         for snr_eve in SNR_GRID_DB:
             cell = replace(base, snr_bob_db=snr_bob, snr_eve_db=snr_eve)
-            plan = optimize_deception(cell, cell, d_max)
+            plan = optimize_deception(cell, d_max)
             ok = ok and plan.feasible == (eps_bob[snr_bob] * 1.0 <= d_max)
             if plan.feasible:
                 alphas.append(plan.alpha_opt)

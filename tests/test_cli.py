@@ -207,6 +207,34 @@ def test_error_table_code_from_scenario(tmp_path):
     assert float(dict(rows)["0.0"]) < 0.5
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--payload-bits", "32"], ["--code-rate", "0.25"],
+     ["--payload-bits", "32", "--code-rate", "0.25"]],
+)
+def test_error_table_scenario_excludes_code_flags(tmp_path, capsys, flags):
+    out = tmp_path / "table.csv"
+    scenario = str(SCENARIO_DIR / "small_codebook.json")
+    args = ["error-table", "--scenario", scenario, *flags, "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--scenario" in err and "--payload-bits/--code-rate" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "one,both",
+    [(["--payload-bits", "32"], ["--payload-bits", "32", "--code-rate", "0.5"]),
+     (["--code-rate", "0.25"], ["--payload-bits", "64", "--code-rate", "0.25"])],
+)
+def test_error_table_one_code_flag_keeps_the_other_default(capsys, one, both):
+    assert main(["error-table", *one]) == 0
+    alone = capsys.readouterr().out
+    assert main(["error-table", *both]) == 0
+    assert capsys.readouterr().out == alone
+
+
 def test_error_table_bad_inputs(tmp_path, capsys):
     assert main(["error-table", "--snr-lo", "5", "--snr-hi", "-5"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -307,7 +335,7 @@ def test_optimize_alpha_grid_matches_scalar_optimizer(
     cells = ((b, e) for b in grid for e in grid)
     for row, (snr_bob, snr_eve) in zip(rows, cells):
         cell = replace(loaded.scenario, snr_bob_db=snr_bob, snr_eve_db=snr_eve)
-        plan = optimize_deception(cell, cell, loaded.d_max)
+        plan = optimize_deception(cell, loaded.d_max)
         expected = (snr_bob, snr_eve, plan.alpha_opt, plan.eve_distortion,
                     plan.bob_distortion, plan.feasible)
         assert row == [_fmt(v) for v in expected]
