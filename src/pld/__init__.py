@@ -16,7 +16,7 @@ from .core import (
     ScenarioError,
     distance,
 )
-from .crypto import ShiftCipher, sample_key
+from .crypto import ShiftCipher
 from .distortion import (
     DeltaTerms,
     DistortionReport,
@@ -29,7 +29,7 @@ from .distortion import (
     opportunistic_distortion,
 )
 from .fbl import FblCode, packet_error_rate, q_function, snr_db_to_linear
-from .montecarlo import McEstimate, estimate_distortion, simulate_trial
+from .montecarlo import McEstimate, estimate_distortion
 from .strategy import (
     DeceptionPlan,
     PiecewiseLinear,
@@ -70,8 +70,6 @@ __all__ = [
     "packet_error_rate",
     "q_function",
     "receiver_value_of_alpha",
-    "sample_key",
-    "simulate_trial",
     "snr_db_to_linear",
     "__version__",
 ]

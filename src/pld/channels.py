@@ -64,18 +64,6 @@ def secondary_pmf(k_hat: Key, k: Key, eps_s: float) -> float:
     return 0.0
 
 
-def sample_primary(rng: np.random.Generator, s: int, eps_p: float) -> Symbol:
-    """One erasure-channel transition."""
-    return NULL_MSG if rng.random() < eps_p else s
-
-
-def sample_secondary(rng: np.random.Generator, k: Key, eps_s: float) -> Key:
-    """One key-channel transition; NULL_KEY passes through unchanged."""
-    if k is NULL_KEY:
-        return NULL_KEY
-    return NULL_KEY if rng.random() < eps_s else k
-
-
 def delivery_mask(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
     """Batch of independent survive/fail indicators (True = delivered)."""
     return rng.random(size) >= eps

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -76,13 +77,23 @@ def _is_real(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a repeated key would silently keep its last value."""
+    repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    if repeated:
+        raise ValueError(f"duplicate keys: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def load_scenario_file(path: str) -> ScenarioFile:
     """Parse and validate a scenario JSON document (strict keys)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     problems = []
@@ -119,13 +130,14 @@ def load_scenario_file(path: str) -> ScenarioFile:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
     d_max = reals.pop("d_max")
-    scenario = Scenario(
-        codebook_size=size, payload_bits=data["payload_bits"], **reals
-    )
     try:
+        scenario = Scenario(
+            codebook_size=size, payload_bits=data["payload_bits"], **reals
+        )
         return ScenarioFile(scenario, d_max, data["mc_trials"], data["seed"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a ScenarioError keeps its type and violations
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +449,6 @@ def _gate_monte_carlo(
     eps_s: float,
     trials: int,
     seed: int,
-    workers: int,
 ) -> GateResult:
     children = np.random.SeedSequence(seed).spawn(len(_GATE_STRATEGIES) + 1)
     best = strategy.optimal_receiver_strategy(
@@ -452,7 +463,6 @@ def _gate_monte_carlo(
             strat,
             trials,
             int(child.generate_state(1, np.uint64)[0]),
-            workers,
         )
         closed = distortion.opportunistic_distortion(
             scenario, eps_p, eps_s, strat
@@ -498,7 +508,7 @@ def _gate_decomposition(
     return _rel_diff_gate("report-decomposition", worst, 1e-12)
 
 
-def run_validation(loaded: ScenarioFile, workers: int = 1) -> list[GateResult]:
+def run_validation(loaded: ScenarioFile) -> list[GateResult]:
     """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
     scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
     code = FblCode.from_scenario(scenario)
@@ -511,7 +521,7 @@ def run_validation(loaded: ScenarioFile, workers: int = 1) -> list[GateResult]:
         _gate_channel_rows([0.0, 0.25, 1.0, eps_bob, eps_eve]),
         _gate_enumeration(scenario, eps_pairs),
         _gate_perception_reduction(scenario, rng),
-        _gate_monte_carlo(scenario, eps_bob, eps_bob, trials, seed, workers),
+        _gate_monte_carlo(scenario, eps_bob, eps_bob, trials, seed),
         _gate_decomposition(scenario, eps_pairs),
     ]
 
@@ -523,7 +533,7 @@ def cmd_validate(args) -> int:
         mc_trials=loaded.mc_trials if args.trials is None else args.trials,
         seed=loaded.seed if args.seed is None else args.seed,
     )
-    results = run_validation(loaded, args.workers)
+    results = run_validation(loaded)
     lines = [f"{r.status} {r.name}: {r.detail}" for r in results]
     counts = {s: sum(r.status == s for r in results) for s in ("PASS", "FAIL", "SKIP")}
     lines.append(
@@ -574,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the oracle self-check suite")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--trials", type=int, help="override scenario mc_trials")
-    p.add_argument("--workers", type=int, default=1, help="Monte Carlo threads")
     p.set_defaults(func=cmd_validate)
 
     for name, p in sub.choices.items():

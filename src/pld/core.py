@@ -125,8 +125,11 @@ def code_violations(payload_bits: int, code_rate: float) -> list[str]:
 def scenario_violations(s: Scenario) -> list[str]:
     """Return every constraint the scenario breaks (empty list if none)."""
     bad: list[str] = []
-    if not _is_int(s.codebook_size) or s.codebook_size < 2:
-        bad.append(f"codebook_size must be an integer >= 2, got {s.codebook_size!r}")
+    # the Monte Carlo cipher works in uint64 arithmetic
+    if not _is_int(s.codebook_size) or not 2 <= s.codebook_size <= 1 << 64:
+        bad.append(
+            f"codebook_size must be an integer in [2, 2^64], got {s.codebook_size!r}"
+        )
     if not (math.isfinite(s.d_loss) and s.d_loss > 0):
         bad.append(f"d_loss must be finite and > 0, got {s.d_loss!r}")
     if not (math.isfinite(s.d_conf) and s.d_conf > s.d_loss):

@@ -116,13 +116,6 @@ def decrypt_batch(
 # key prior
 # ---------------------------------------------------------------------------
 
-def sample_key(rng: np.random.Generator, scenario: Scenario) -> Key:
-    """One draw from the key prior: NULL_KEY w.p. 1-alpha, else uniform key."""
-    if rng.random() >= scenario.alpha:
-        return NULL_KEY
-    return int(rng.integers(0, scenario.codebook_size - 1, dtype=np.uint64)) + 1
-
-
 def sample_keys(
     rng: np.random.Generator,
     scenario: Scenario,

@@ -3,13 +3,11 @@
 Every trial walks the whole chain — draw meaning and key, encrypt, push
 through both transport channels, let the receiver decrypt or fall back on
 its perception/dropping/exclusion mix — and scores the realized semantic
-distortion.  A scalar reference walk (``simulate_trial``) states the
-pipeline plainly; the vectorized kernel (``simulate_batch``) draws the same
-law on uint64 arrays for throughput, and each chunk of trials reduces to two
-integer outcome counts, lost and confused, since distortion only takes the
-values 0, ``d_loss`` and ``d_conf``.  The mean and standard error follow
-exactly from the summed counts, so a given seed yields bit-identical
-results for any worker count.
+distortion.  The kernel (``simulate_batch``) draws one chunk of trials on
+uint64 arrays, and each chunk reduces to two integer outcome counts, lost
+and confused, since distortion only takes the values 0, ``d_loss`` and
+``d_conf``.  The mean and standard error follow exactly from the summed
+counts, so a given seed yields bit-identical results for any worker count.
 """
 from __future__ import annotations
 
@@ -21,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import channels, crypto
-from .core import NULL_KEY, NULL_MSG, Scenario, distance
-from .crypto import ShiftCipher
+from .core import Scenario
 from .distortion import ReceiverStrategy
 
 #: Trials per reduction chunk; one substream and one pair of counts per chunk.
@@ -57,37 +54,6 @@ class TrialBatch:
     exclusion_pick: np.ndarray
 
 
-def simulate_trial(
-    rng: np.random.Generator,
-    scenario: Scenario,
-    eps_p: float,
-    eps_s: float,
-    strategy: ReceiverStrategy,
-) -> float:
-    """One full pipeline walk; returns the realized distortion."""
-    size = scenario.codebook_size
-    cipher = ShiftCipher(size)
-    w = int(rng.integers(0, size - 1, dtype=np.uint64, endpoint=True))
-    k = crypto.sample_key(rng, scenario)
-    s = cipher.encrypt(w, k)
-    s_hat = channels.sample_primary(rng, s, eps_p)
-    k_hat = channels.sample_secondary(rng, k, eps_s)
-    if k_hat is not NULL_KEY:
-        w_hat = cipher.decrypt(s_hat, k_hat)
-    else:
-        u = rng.random()
-        if u < strategy.beta1:  # perception: take the codeword at face value
-            w_hat = s_hat
-        elif u < strategy.beta1 + strategy.beta2:  # dropping
-            w_hat = NULL_MSG
-        elif s_hat is NULL_MSG:  # nothing to exclude from
-            w_hat = NULL_MSG
-        else:  # exclusion: uniform guess among the other codewords
-            r = int(rng.integers(0, size - 1, dtype=np.uint64))
-            w_hat = r + 1 if r >= s_hat else r
-    return distance(w, w_hat, scenario.distortion)
-
-
 def simulate_batch(
     rng: np.random.Generator,
     scenario: Scenario,
@@ -95,7 +61,7 @@ def simulate_batch(
     eps_s: float,
     size: int,
 ) -> TrialBatch:
-    """Vectorized pipeline draws; same law as simulate_trial, fixed draw order.
+    """One chunk of pipeline draws on uint64 arrays, in a fixed draw order.
 
     Branch and exclusion randomness is drawn for every trial (and discarded
     where unused) to keep the stream layout independent of the outcomes.

@@ -1,4 +1,4 @@
-"""Erasure / one-sided key channel pmfs and samplers."""
+"""Erasure / one-sided key channel pmfs and delivery draws."""
 import numpy as np
 import pytest
 
@@ -6,8 +6,6 @@ from pld.channels import (
     TransportChannel,
     delivery_mask,
     primary_pmf,
-    sample_primary,
-    sample_secondary,
     secondary_pmf,
 )
 from pld.core import NULL_KEY, NULL_MSG
@@ -44,29 +42,12 @@ def test_pmf_validation():
         primary_pmf(2, NULL_MSG, 0.1)
 
 
-def test_noiseless_samplers():
-    rng = np.random.default_rng(0)
-    assert all(sample_primary(rng, 5, 0.0) == 5 for _ in range(50))
-    assert all(sample_primary(rng, 5, 1.0) is NULL_MSG for _ in range(50))
-    assert all(sample_secondary(rng, NULL_KEY, 0.7) is NULL_KEY for _ in range(50))
-    assert all(sample_secondary(rng, 3, 0.0) == 3 for _ in range(50))
-
-
 def test_erasure_frequency():
     rng = np.random.default_rng(5)
     n = 1_000_000
     delivered = delivery_mask(rng, 0.3, n)
     freq = 1.0 - delivered.mean()
     assert abs(freq - 0.3) <= 4.0 * np.sqrt(0.3 * 0.7 / n)
-
-
-def test_scalar_sampler_frequency():
-    rng = np.random.default_rng(6)
-    n = 20_000
-    erased = sum(sample_primary(rng, 1, 0.3) is NULL_MSG for _ in range(n))
-    assert abs(erased / n - 0.3) <= 4.0 * np.sqrt(0.3 * 0.7 / n)
-    lost = sum(sample_secondary(rng, 2, 0.4) is NULL_KEY for _ in range(n))
-    assert abs(lost / n - 0.4) <= 4.0 * np.sqrt(0.4 * 0.6 / n)
 
 
 def test_transport_channel_validation():

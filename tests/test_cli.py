@@ -112,6 +112,25 @@ def test_invalid_model_parameters_listed(tmp_path):
     assert "d_conf" in str(err.value)
 
 
+def test_model_parameter_error_names_the_file(tmp_path, capsys):
+    path = write_doc(tmp_path, dict(BASE_DOC, alpha=5))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario_file(path)
+    assert err.value.violations == ["alpha must lie in [0, 1], got 5.0"]
+    assert main(["validate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: alpha must lie in [0, 1], got 5.0\n"
+
+
+def test_duplicate_keys_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    text = json.dumps(BASE_DOC)
+    path.write_text(text[:-1] + ', "alpha": 0.5}', encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: duplicate keys: alpha\n"
+
+
 def test_malformed_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -430,9 +449,10 @@ def test_validate_writes_report_file(tmp_path):
 def test_validate_bad_overrides(tmp_path, capsys):
     path = write_doc(tmp_path, BASE_DOC)
     assert main(["validate", "--scenario", path, "--trials", "0"]) == 2
-    assert main(["validate", "--scenario", path, "--workers", "0"]) == 2
     assert main(["validate", "--scenario", path, "--seed", "-1"]) == 2
     capsys.readouterr()
+    assert main(["validate", "--scenario", path, "--workers", "2"]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     loud = write_doc(tmp_path, dict(BASE_DOC, snr_bob_db=4000.0), "loud.json")
     assert main(["validate", "--scenario", loud]) == 2
     err = capsys.readouterr().err

@@ -68,9 +68,11 @@ def test_validate_accepts_reference_parameters():
         (lambda: make_scenario(payload_bits=64, code_rate=0.3), "blocklength"),
         (lambda: make_scenario(d_loss=10.0, d_conf=1.0), "d_conf"),
         (lambda: make_scenario(codebook_size=1), "codebook_size"),
+        (lambda: make_scenario(codebook_size=(1 << 64) + 1), "codebook_size"),
     ],
     ids=["alpha-out-of-range", "replace-alpha-out-of-range",
-         "non-integer-blocklength", "bad-distortion-ordering", "codebook-size-1"],
+         "non-integer-blocklength", "bad-distortion-ordering", "codebook-size-1",
+         "codebook-size-above-2^64"],
 )
 def test_validate_rejects_bad_parameters(build, field):
     with pytest.raises(ScenarioError, match=field) as err:

@@ -8,7 +8,6 @@ from pld.crypto import (
     add_mod,
     decrypt_batch,
     encrypt_batch,
-    sample_key,
     sample_keys,
     sub_mod,
 )
@@ -68,12 +67,14 @@ def test_input_validation():
         ShiftCipher(1)
 
 
-def test_sample_key_degenerate_rates():
+def test_sample_keys_degenerate_rates():
     rng = np.random.default_rng(0)
-    off = scenario_with(8, 0.0)
-    assert all(sample_key(rng, off) is NULL_KEY for _ in range(50))
-    on = scenario_with(2, 1.0)
-    assert all(sample_key(rng, on) == 1 for _ in range(50))
+    values, active = sample_keys(rng, scenario_with(8, 0.0), 50)
+    assert not active.any()
+    assert np.all(values == 0)
+    values, active = sample_keys(rng, scenario_with(2, 1.0), 50)
+    assert active.all()
+    assert np.all(values == 1)
 
 
 def test_sample_keys_activation_frequency():

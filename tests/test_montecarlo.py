@@ -21,7 +21,6 @@ from pld.montecarlo import (
     _count_outcomes,
     estimate_distortion,
     simulate_batch,
-    simulate_trial,
 )
 from pld.strategy import optimal_receiver_strategy
 
@@ -139,16 +138,6 @@ def test_branch_frequencies_match_their_probabilities():
     assert within_4_sigma(u < b1, strat.beta1)
     assert within_4_sigma((u >= b1) & (u < b12), strat.beta2)
     assert within_4_sigma(u >= b12, strat.beta3)
-
-
-def test_scalar_walk_matches_closed_form():
-    sc = make_scenario(size=2, alpha=0.99)
-    rng = np.random.default_rng(7)
-    n = 20000
-    draws = np.array([simulate_trial(rng, sc, 0.3, 0.4, CENTER) for _ in range(n)])
-    want = opportunistic_distortion(sc, 0.3, 0.4, CENTER).total
-    se = draws.std(ddof=1) / math.sqrt(n)
-    assert abs(draws.mean() - want) < 4 * se
 
 
 # ---------------------------------------------------------------------------
