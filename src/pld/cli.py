@@ -14,7 +14,7 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,23 +33,13 @@ from .crypto import ShiftCipher, decrypt_batch, encrypt_batch
 from .distortion import DROPPING, EXCLUSION, PERCEPTION, ReceiverStrategy
 from .fbl import FblCode, packet_error_rate, snr_db_to_linear
 
-SCENARIO_KEYS = frozenset(
-    {
-        "codebook_size",
-        "d_loss",
-        "d_conf",
-        "alpha",
-        "payload_bits",
-        "code_rate",
-        "snr_bob_db",
-        "snr_eve_db",
-        "d_max",
-        "mc_trials",
-        "seed",
-    }
-)
-
-_MAX_SEED = (1 << 64) - 1
+def run_violations(d_max: float, mc_trials: int, seed: int) -> list[str]:
+    """Every rule the run settings of a scenario file break (empty if none)."""
+    bad = strategy.d_max_violations(d_max)
+    bad += montecarlo.trials_violations(mc_trials, "mc_trials")
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        bad.append(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return bad
 
 
 @dataclass(frozen=True)
@@ -62,19 +52,13 @@ class ScenarioFile:
     seed: int
 
     def __post_init__(self) -> None:
-        bad = []
-        if not (math.isfinite(self.d_max) and self.d_max > 0):
-            bad.append(f"d_max must be finite and > 0, got {self.d_max!r}")
-        if self.mc_trials < 1:
-            bad.append(f"mc_trials must be >= 1, got {self.mc_trials}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            bad.append(f"seed must fit in 64 bits, got {self.seed}")
-        if bad:
+        if bad := run_violations(self.d_max, self.mc_trials, self.seed):
             raise ValueError("; ".join(bad))
+        object.__setattr__(self, "d_max", float(self.d_max))
 
 
-def _is_real(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_RUN_KEYS = [f.name for f in fields(ScenarioFile) if f.name != "scenario"]
+SCENARIO_KEYS = frozenset(f.name for f in fields(Scenario)).union(_RUN_KEYS)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -86,55 +70,31 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_scenario_file(path: str) -> ScenarioFile:
-    """Parse and validate a scenario JSON document (strict keys)."""
+    """Parse a scenario JSON document (strict keys); the types check the values."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # the hook, or deep nesting
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    problems = []
-    unknown = sorted(set(data) - SCENARIO_KEYS)
-    if unknown:
-        problems.append(f"unknown keys: {', '.join(unknown)}")
-    missing = sorted(SCENARIO_KEYS - set(data))
-    if missing:
-        problems.append(f"missing keys: {', '.join(missing)}")
+    unknown, missing = set(data) - SCENARIO_KEYS, SCENARIO_KEYS - set(data)
+    problems = [f"{label} keys: {', '.join(sorted(keys))}"
+                for label, keys in (("unknown", unknown), ("missing", missing)) if keys]
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
 
-    size = data["codebook_size"]
-    if size == "2^64":
-        size = 1 << 64
-    elif not _is_int(size):
-        problems.append(
-            f"codebook_size must be an integer or the string \"2^64\", got {size!r}"
-        )
-    reals = {}
-    for key in ("d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db",
-                "snr_eve_db", "d_max"):
-        if not _is_real(data[key]):
-            problems.append(f"{key} must be a number, got {data[key]!r}")
-            continue
-        try:
-            reals[key] = float(data[key])
-        except OverflowError:  # a JSON integer beyond the float range
-            problems.append(f"{key} is too large for a float")
-    for key in ("payload_bits", "mc_trials", "seed"):
-        if not _is_int(data[key]):
-            problems.append(f"{key} must be an integer, got {data[key]!r}")
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-
-    d_max = reals.pop("d_max")
+    if data["codebook_size"] == "2^64":
+        data["codebook_size"] = 1 << 64
+    run = {key: data.pop(key) for key in _RUN_KEYS}
     try:
-        scenario = Scenario(
-            codebook_size=size, payload_bits=data["payload_bits"], **reals
-        )
-        return ScenarioFile(scenario, d_max, data["mc_trials"], data["seed"])
+        try:
+            scenario = Scenario(**data)
+        except ScenarioError as exc:  # name the run settings' problems too
+            raise ScenarioError(exc.violations + run_violations(**run)) from None
+        return ScenarioFile(scenario, **run)
     except ValueError as exc:  # a ScenarioError keeps its type and violations
         exc.args = (f"{path}: {exc}",)
         raise

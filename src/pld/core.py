@@ -10,6 +10,7 @@ one, with ``d_conf > d_loss > 0`` so confusion hurts more than loss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -36,6 +37,10 @@ Key = int | _Sentinel
 #: Largest codebook the exhaustive-enumeration oracle will accept.
 ENUMERATION_CAP = 4096
 
+#: The Scenario fields that are integers, and those stored as floats.
+INT_FIELDS = ("codebook_size", "payload_bits")
+REAL_FIELDS = ("d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db", "snr_eve_db")
+
 
 @dataclass(frozen=True)
 class DistortionModel:
@@ -55,8 +60,8 @@ class Scenario:
     ``payload_bits`` and ``code_rate`` determine the blocklength of the
     finite-blocklength code used on both transport channels, and the SNR
     fields place the two receivers on that code's error-rate curve.
-    Construction (``dataclasses.replace`` included) raises ScenarioError
-    listing every rule of ``scenario_violations`` the fields break.
+    Construction (``dataclasses.replace`` included) stores the real fields as
+    floats and raises ScenarioError listing every type, else range, problem.
     """
 
     codebook_size: int
@@ -69,7 +74,13 @@ class Scenario:
     snr_eve_db: float = 0.0
 
     def __post_init__(self) -> None:
-        bad = scenario_violations(self)
+        bad = [f"{f} must be an integer, got {getattr(self, f)!r}"
+               for f in INT_FIELDS if not _is_int(getattr(self, f))]
+        bad += real_violations(**{f: getattr(self, f) for f in REAL_FIELDS})
+        if not bad:  # the range rules compare numbers
+            for field in REAL_FIELDS:
+                object.__setattr__(self, field, float(getattr(self, field)))
+            bad = scenario_violations(self)
         if bad:
             raise ScenarioError(bad)
 
@@ -99,6 +110,20 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def real_violations(**values: object) -> list[str]:
+    """The type rule of a real field: a number, not a bool, that fits a float."""
+    bad = []
+    for key, x in values.items():
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            bad.append(f"{key} must be a number, got {x!r}")
+            continue
+        try:
+            float(x)
+        except OverflowError:  # an integer beyond the float range
+            bad.append(f"{key} is too large for a float")
+    return bad
+
+
 def code_violations(payload_bits: int, code_rate: float) -> list[str]:
     """Rules for the (n, k) code: k >= 1, rate in (0, 1], integer n = k/rate."""
     bad: list[str] = []
@@ -106,7 +131,7 @@ def code_violations(payload_bits: int, code_rate: float) -> list[str]:
         bad.append(f"payload_bits must be a positive integer, got {payload_bits!r}")
     if not (math.isfinite(code_rate) and 0.0 < code_rate <= 1.0):
         bad.append(f"code_rate must lie in (0, 1], got {code_rate!r}")
-    else:
+    elif _is_int(payload_bits):
         try:
             n = payload_bits / code_rate
         except OverflowError:  # an integer beyond the float range
@@ -123,13 +148,11 @@ def code_violations(payload_bits: int, code_rate: float) -> list[str]:
 
 
 def scenario_violations(s: Scenario) -> list[str]:
-    """Return every constraint the scenario breaks (empty list if none)."""
+    """Return every range rule the typed scenario breaks (empty list if none)."""
     bad: list[str] = []
     # the Monte Carlo cipher works in uint64 arithmetic
-    if not _is_int(s.codebook_size) or not 2 <= s.codebook_size <= 1 << 64:
-        bad.append(
-            f"codebook_size must be an integer in [2, 2^64], got {s.codebook_size!r}"
-        )
+    if not 2 <= s.codebook_size <= 1 << 64:
+        bad.append(f"codebook_size must lie in [2, 2^64], got {s.codebook_size!r}")
     if not (math.isfinite(s.d_loss) and s.d_loss > 0):
         bad.append(f"d_loss must be finite and > 0, got {s.d_loss!r}")
     if not (math.isfinite(s.d_conf) and s.d_conf > s.d_loss):

@@ -19,11 +19,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import channels, crypto
-from .core import Scenario
+from .core import Scenario, _is_int
 from .distortion import ReceiverStrategy
 
 #: Trials per reduction chunk; one substream and one pair of counts per chunk.
 CHUNK_TRIALS = 1 << 19
+
+#: Most trials one estimate takes: 2^17 chunks, about 64 MB of substream seeds.
+MAX_TRIALS = 1 << 36
+
+
+def trials_violations(trials: int, name: str = "trials") -> list[str]:
+    """The trial-count rule: an integer in [1, MAX_TRIALS]."""
+    if _is_int(trials) and 1 <= trials <= MAX_TRIALS:
+        return []
+    return [f"{name} must be an integer in [1, 2^36], got {trials!r}"]
 
 
 @dataclass(frozen=True)
@@ -36,8 +46,8 @@ class McEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if bad := trials_violations(self.trials):
+            raise ValueError(bad[0])
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,6 @@ def _count_outcomes(
     return int(n_loss), int(n_conf)
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)
-    if trials % CHUNK_TRIALS:
-        sizes.append(trials % CHUNK_TRIALS)
-    return sizes
-
-
 def estimate_distortion(
     scenario: Scenario,
     eps_p: float,
@@ -124,11 +127,12 @@ def estimate_distortion(
     rational arithmetic and rounded once, so the estimate is bit-identical
     for any ``workers`` value.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if bad := trials_violations(trials):
+        raise ValueError(bad[0])
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = _chunk_sizes(trials)
+    full, rest = divmod(trials, CHUNK_TRIALS)
+    sizes = [CHUNK_TRIALS] * full + [rest] * (rest > 0)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
     def run_chunk(idx: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import TransportChannel
-from .core import Scenario
+from .core import Scenario, real_violations
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
 from .fbl import FblCode
 
@@ -184,6 +184,14 @@ def sublevel_intervals(
     return tuple(found)
 
 
+def d_max_violations(d_max: float) -> list[str]:
+    """The rule for Bob's distortion cap: a finite number > 0."""
+    bad = real_violations(d_max=d_max)
+    if not bad and not (math.isfinite(d_max) and d_max > 0):
+        bad.append(f"d_max must be finite and > 0, got {float(d_max)!r}")
+    return bad
+
+
 @dataclass(frozen=True)
 class DeceptionPlan:
     """Best activation rate under the intended receiver's distortion cap."""
@@ -274,8 +282,8 @@ def optimize_deception(
     distortions are concave piecewise-linear in alpha, so the constraint set
     is [0,1] minus an open interval; ``deception_search`` searches it.
     """
-    if not (math.isfinite(d_max) and d_max > 0):
-        raise ValueError(f"d_max must be finite and > 0, got {d_max!r}")
+    if bad := d_max_violations(d_max):
+        raise ValueError(bad[0])
     code = FblCode.from_scenario(scenario)
     if bob_channel is None:
         bob_channel = TransportChannel.from_snr_db(scenario.snr_bob_db, code)

@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
+import pld.cli
 import pld.distortion
 from pld.cli import ScenarioFile, _fmt, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
+from pld.montecarlo import MAX_TRIALS
 from pld.strategy import optimize_deception
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SMALL_SCENARIO = str(SCENARIO_DIR / "small_codebook.json")
 
 BASE_DOC = {
     "codebook_size": 2,
@@ -30,6 +33,10 @@ BASE_DOC = {
     "mc_trials": 1000,
     "seed": 7,
 }
+
+
+FLOAT_KEYS = {"d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db", "snr_eve_db",
+              "d_max"}
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -129,6 +136,75 @@ def test_duplicate_keys_rejected(tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: duplicate keys: alpha\n"
+
+
+def test_deeply_nested_json_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [{"d_loss": "x", "mc_trials": 0}, {"alpha": 5, "d_max": "x"},
+            {"codebook_size": 4.0, "seed": None}]
+)
+def test_model_and_run_problems_share_one_line(tmp_path, capsys, bad):
+    path = write_doc(tmp_path, dict(BASE_DOC, **bad))
+    assert main(["validate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert all(key in err for key in bad)
+
+
+RUN_SETTINGS = {"d_max": 0.01, "mc_trials": 1000, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("d_max", "x"), ("d_max", None), ("d_max", True),
+     pytest.param("d_max", 10**400, id="d_max-1e400")]
+    + [(key, v) for key in ("mc_trials", "seed") for v in (1.5, "x", None, True)],
+)
+def test_run_setting_types_rejected(key, value):
+    scenario = load_scenario_file(SMALL_SCENARIO).scenario
+    with pytest.raises(ValueError, match=key):
+        ScenarioFile(scenario, **dict(RUN_SETTINGS, **{key: value}))
+
+
+def test_trial_count_bound(tmp_path, capsys, monkeypatch):
+    scenario = load_scenario_file(SMALL_SCENARIO).scenario
+    assert ScenarioFile(scenario, 0.01, MAX_TRIALS, 7).mc_trials == MAX_TRIALS
+    with pytest.raises(ValueError, match="mc_trials"):
+        ScenarioFile(scenario, 0.01, MAX_TRIALS + 1, 7)
+
+    def no_gates(loaded):
+        raise AssertionError("a gate ran")
+
+    monkeypatch.setattr(pld.cli, "run_validation", no_gates)
+    path = write_doc(tmp_path, BASE_DOC)
+    for trials in (str(MAX_TRIALS + 1), "99999999999999999999"):
+        assert main(["validate", "--scenario", path, "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: mc_trials must be an integer in [1, 2^36], got {trials}\n"
+    huge = write_doc(tmp_path, dict(BASE_DOC, mc_trials=10**20), "huge.json")
+    assert main(["validate", "--scenario", huge]) == 2
+    assert "mc_trials" in capsys.readouterr().err
+
+
+def test_integer_valued_reals_give_the_same_bytes(tmp_path, capsys):
+    whole = dict(BASE_DOC, d_loss=1, d_conf=10, code_rate=1, snr_bob_db=3,
+                 snr_eve_db=0, d_max=1)
+    twin = {key: float(v) if key in FLOAT_KEYS else v for key, v in whole.items()}
+    paths = [write_doc(tmp_path, whole, "whole.json"),
+             write_doc(tmp_path, twin, "twin.json")]
+    for command in ("sweep-receiver", "optimize-alpha"):
+        outputs = []
+        for path in paths:
+            assert main([command, "--scenario", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_malformed_json_reports_path(tmp_path):

@@ -9,6 +9,7 @@ from pld.core import (
     DistortionModel,
     Scenario,
     ScenarioError,
+    code_violations,
     distance,
     scenario_violations,
 )
@@ -88,6 +89,41 @@ def test_validate_collects_every_violation():
     text = " ".join(violations)
     for name in ("codebook_size", "alpha", "d_loss", "code_rate"):
         assert name in text
+
+
+REAL_FIELDS = ["d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db", "snr_eve_db"]
+
+
+@pytest.mark.parametrize("value", ["x", None, True, 10**400],
+                         ids=["str", "None", "bool", "1e400"])
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_real_field_that_is_not_a_float_rejected(field, value):
+    with pytest.raises(ScenarioError, match=field) as err:
+        make_scenario(**{field: value})
+    assert len(err.value.violations) == 1
+
+
+def test_real_fields_stored_as_floats():
+    sc = make_scenario(d_loss=1, d_conf=10, alpha=1, code_rate=1, snr_bob_db=3)
+    assert all(type(getattr(sc, field)) is float for field in REAL_FIELDS)
+    assert sc == make_scenario(d_loss=1.0, d_conf=10.0, alpha=1.0, code_rate=1.0,
+                               snr_bob_db=3.0)
+
+
+def test_every_type_problem_listed():
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(codebook_size=4.0, payload_bits="64", d_loss=None, alpha=1.5)
+    assert err.value.violations == [
+        "codebook_size must be an integer, got 4.0",
+        "payload_bits must be an integer, got '64'",
+        "d_loss must be a number, got None",
+    ]
+
+
+def test_code_rules_skip_the_blocklength_of_a_non_integer():
+    assert code_violations("x", 0.5) == [
+        "payload_bits must be a positive integer, got 'x'"
+    ]
 
 
 def test_blocklength_arithmetic():

@@ -1,5 +1,7 @@
-"""Import and export hygiene: every export resolves, no import goes unused."""
+"""Import and export hygiene: every export resolves, no import or name goes unused."""
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pld
@@ -31,3 +33,33 @@ def test_modules_use_every_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+ROOT = PACKAGE_DIR.parents[1]
+
+
+def module_level_names(source: str) -> list[str]:
+    """Functions, classes and constants a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_module_level_name_is_referenced():
+    # a name's own definition is one word match; anything beyond it is a use
+    texts = [path.read_text(encoding="utf-8")
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    texts.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    words = Counter(re.findall(r"\w+", "\n".join(texts)))
+    defined = Counter(
+        name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in module_level_names(path.read_text(encoding="utf-8"))
+    )
+    assert sorted(name for name, n in defined.items() if words[name] <= n) == []

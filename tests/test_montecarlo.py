@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pld import montecarlo
 from pld.core import NULL_MSG, Scenario, distance
 from pld.crypto import ShiftCipher
 from pld.distortion import (
@@ -17,6 +18,7 @@ from pld.distortion import (
 )
 from pld.montecarlo import (
     CHUNK_TRIALS,
+    MAX_TRIALS,
     McEstimate,
     _count_outcomes,
     estimate_distortion,
@@ -62,6 +64,16 @@ def test_argument_validation():
         estimate_distortion(sc, 0.1, 0.1, CENTER, 100, seed=1, workers=0)
     with pytest.raises(ValueError):
         McEstimate(0.0, 0.0, 0, 1)
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20 - 1, 1.5, True])
+def test_trial_count_rejected_before_any_draw(monkeypatch, trials):
+    def no_draws(*args):
+        raise AssertionError("drew a chunk")
+
+    monkeypatch.setattr(montecarlo, "simulate_batch", no_draws)
+    with pytest.raises(ValueError, match="trials"):
+        estimate_distortion(make_scenario(), 0.1, 0.1, CENTER, trials, seed=1)
 
 
 # ---------------------------------------------------------------------------

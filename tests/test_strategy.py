@@ -339,6 +339,13 @@ def test_optimizer_input_validation():
         optimize_deception(sc, float("nan"))
 
 
+@pytest.mark.parametrize("d_max", ["x", None, True, 10**400],
+                         ids=["str", "None", "bool", "1e400"])
+def test_optimizer_rejects_a_cap_that_is_not_a_number(d_max):
+    with pytest.raises(ValueError, match="d_max"):
+        optimize_deception(make_scenario(size=4), d_max)
+
+
 def test_optimizer_agrees_with_dense_grid():
     rng = np.random.default_rng(1234)
     grid = np.linspace(0.0, 1.0, 5001)
