@@ -64,6 +64,11 @@ def secondary_pmf(k_hat: Key, k: Key, eps_s: float) -> float:
     return 0.0
 
 
-def delivery_mask(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
-    """Batch of independent survive/fail indicators (True = delivered)."""
-    return rng.random(size) >= eps
+def delivery_mask(
+    rng: np.random.Generator, eps: float, size: int, uniform: np.ndarray | None = None
+) -> np.ndarray:
+    """Batch of independent survive/fail indicators (True = delivered).
+
+    The uniform draw lands in ``uniform`` when given (float64, ``size`` long).
+    """
+    return rng.random(size, out=uniform) >= eps

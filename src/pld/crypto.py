@@ -67,49 +67,83 @@ class ShiftCipher:
 # uint64 batch arithmetic
 # ---------------------------------------------------------------------------
 
-def add_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """(a + b) mod modulus elementwise for uint64 arrays, a, b < modulus."""
-    wrapped = a + b  # wraps mod 2**64
+def add_mod(
+    a: np.ndarray, b: np.ndarray, modulus: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(a + b) mod modulus elementwise for uint64 arrays, a, b < modulus.
+
+    The result goes to ``out`` when given, which may be ``b`` but not ``a``.
+    """
+    total = np.add(a, b, out=out)  # wraps mod 2**64
     if modulus == _FULL_UINT64:
-        return wrapped
+        return total
     m = np.uint64(modulus)
-    # Reduce when the true sum reached the modulus: either the uint64 add
-    # carried (wrapped < a, possible only when modulus > 2**63) or the
-    # in-range sum did (wrapped >= m).
-    need = wrapped >= m
     if modulus > _HALF_UINT64:
-        need |= wrapped < a
-    wrapped -= need * m
-    return wrapped
+        # Reduce where the true sum reached the modulus: either the uint64
+        # add carried (total < a) or the in-range sum did (total >= m).
+        need = total < a
+        need |= total >= m
+        total -= need * m
+    else:
+        # a + b < 2m <= 2**64: total - m wraps above total exactly when
+        # total < m, so the smaller of the two is the residue.
+        np.minimum(total, total - m, out=total)
+    return total
 
 
-def sub_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """(a - b) mod modulus elementwise for uint64 arrays, a, b < modulus."""
-    diff = a - b  # wraps mod 2**64
+def sub_mod(
+    a: np.ndarray, b: np.ndarray, modulus: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(a - b) mod modulus elementwise for uint64 arrays, a, b < modulus.
+
+    The result goes to ``out`` when given, which may be ``a`` or ``b``.
+    """
     if modulus == _FULL_UINT64:
-        return diff
-    diff += (a < b) * np.uint64(modulus)
+        return np.subtract(a, b, out=out)  # wraps mod 2**64
+    m = np.uint64(modulus)
+    if modulus > _HALF_UINT64:
+        borrow = a < b  # before ``out`` overwrites a or b
+        diff = np.subtract(a, b, out=out)
+        diff += borrow * m
+    else:
+        # a - b + m < 2m <= 2**64 never wraps, while a - b wraps above it
+        # exactly when a < b, so the smaller of the two is the residue.
+        diff = np.subtract(a, b, out=out)
+        np.minimum(diff, diff + m, out=diff)
     return diff
 
 
 def encrypt_batch(
     words: np.ndarray,
     keys: np.ndarray,
-    active: np.ndarray,
+    active: np.ndarray | None,
     codebook_size: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized cipher: shift where the key is active, identity elsewhere."""
-    return add_mod(words, keys * active, codebook_size)
+    """Vectorized cipher: shift where the key is active, identity elsewhere.
+
+    ``active=None`` takes ``keys`` as already 0 in every inactive slot, the
+    encoding ``sample_keys`` returns, and skips the masking.
+    """
+    if active is not None:
+        keys = keys * active
+    return add_mod(words, keys, codebook_size, out)
 
 
 def decrypt_batch(
     codewords: np.ndarray,
     keys: np.ndarray,
-    active: np.ndarray,
+    active: np.ndarray | None,
     codebook_size: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized inverse cipher on delivered codewords (no erasure handling)."""
-    return sub_mod(codewords, keys * active, codebook_size)
+    """Vectorized inverse cipher on delivered codewords (no erasure handling).
+
+    ``active`` and ``out`` work as in ``encrypt_batch``.
+    """
+    if active is not None:
+        keys = keys * active
+    return sub_mod(codewords, keys, codebook_size, out)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +154,14 @@ def sample_keys(
     rng: np.random.Generator,
     scenario: Scenario,
     size: int,
+    uniform: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch key draws as (uint64 values, active mask); inactive slots hold 0."""
-    active = rng.random(size) < scenario.alpha
+    """Batch key draws as (uint64 values, active mask); inactive slots hold 0.
+
+    The activation draw lands in ``uniform`` when given (float64, ``size``
+    long), so a caller can reuse one buffer for all its uniform draws.
+    """
+    active = rng.random(size, out=uniform) < scenario.alpha
     values = rng.integers(0, scenario.codebook_size - 1, size=size, dtype=np.uint64)
     values += np.uint64(1)
     values *= active

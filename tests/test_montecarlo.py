@@ -1,5 +1,6 @@
 """Stochastic pipeline simulation: laws, invariants, and reproducibility."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -60,8 +61,9 @@ def test_argument_validation():
     sc = make_scenario()
     with pytest.raises(ValueError):
         estimate_distortion(sc, 0.1, 0.1, CENTER, 0, seed=1)
-    with pytest.raises(ValueError):
-        estimate_distortion(sc, 0.1, 0.1, CENTER, 100, seed=1, workers=0)
+    for workers in (0, 2.5, True):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_distortion(sc, 0.1, 0.1, CENTER, 100, seed=1, workers=workers)
     with pytest.raises(ValueError):
         McEstimate(0.0, 0.0, 0, 1)
 
@@ -102,7 +104,7 @@ def test_batch_pipeline_invariants():
     assert batch.exclusion_pick.max() < 4
 
 
-@pytest.mark.parametrize("size", [2, 4, 1 << 64])
+@pytest.mark.parametrize("size", [2, 4, 2**63 + 11, 1 << 64])
 def test_outcome_counts_match_per_trial_scoring(size):
     """The counting scorer agrees with the scalar cipher and distance per trial."""
     sc = make_scenario(size=size, alpha=0.6)
@@ -126,7 +128,46 @@ def test_outcome_counts_match_per_trial_scoring(size):
         d = distance(w, w_hat, sc.distortion)
         n_loss += d == sc.d_loss
         n_conf += d == sc.d_conf
-    assert _count_outcomes(batch, size, strat) == (n_loss, n_conf)
+    assert _count_outcomes(batch, strat) == (n_loss, n_conf)
+
+
+BATCH_FIELDS = (
+    "message", "key", "key_active", "ciphertext", "delivered", "key_decoded",
+    "branch_u", "exclusion_pick",
+)
+
+
+@pytest.mark.parametrize("size", [1, 20000, CHUNK_TRIALS + 12345])
+@pytest.mark.parametrize("codebook", [3, 2**63 + 7, 1 << 64])
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
+    """A short last block and a block edge inside the chunk count the same."""
+    sc = make_scenario(size=codebook, alpha=0.6)
+    strat = ReceiverStrategy(0.2, 0.3, 0.5)
+
+    def run():
+        batch = simulate_batch(np.random.default_rng(31), sc, 0.3, 0.4, size)
+        return _count_outcomes(batch, strat), batch
+
+    want, ref = run()
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
+    got, batch = run()
+    assert got == want
+    for field in BATCH_FIELDS:
+        assert np.array_equal(getattr(batch, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("codebook", [4, 2**63 + 7, 1 << 64])
+def test_chunk_allocates_at_most_40_bytes_per_trial(codebook):
+    """The draws (35 B/trial) plus block scratch; no whole-chunk temporaries."""
+    sc = make_scenario(size=codebook, alpha=0.6)
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(np.random.default_rng(5), sc, 0.3, 0.4, CHUNK_TRIALS)
+        _count_outcomes(batch, CENTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / CHUNK_TRIALS <= 40
 
 
 def test_branch_frequencies_match_their_probabilities():
