@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -377,11 +378,13 @@ def _gate_enumeration(
         )
     worst = 0.0
     for eps_p, eps_s in eps_pairs:
-        for strat in _GATE_STRATEGIES:
+        oracles = distortion.enumeration_oracle(
+            scenario, eps_p, eps_s, _GATE_STRATEGIES
+        )
+        for strat, oracle in zip(_GATE_STRATEGIES, oracles):
             closed = distortion.opportunistic_distortion(
                 scenario, eps_p, eps_s, strat
             ).total
-            oracle = distortion.enumeration_oracle(scenario, eps_p, eps_s, strat)
             worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
     return _rel_diff_gate("closed-form-vs-enumeration", worst, 1e-10)
 
@@ -564,6 +567,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: exit 128 + SIGPIPE, not 2; flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

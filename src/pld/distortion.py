@@ -7,10 +7,12 @@ opportunistic receiver that mixes its three fallback options (perception /
 dropping / exclusion) when no key is decoded.  ``enumeration_oracle``
 recomputes the opportunistic distortion by brute-force summation over every
 (key, meaning, delivery, key-decode, estimate) combination, sharing nothing
-with the closed forms, so the two can police each other in tests.
+with the closed forms, so the two can police each other in tests.  It makes
+one O(S^2) pass per channel pair, shared by every strategy asked about.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,14 +187,16 @@ def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
 
 
 def enumeration_oracle(
-    scenario: Scenario, eps_p: float, eps_s: float, strategy: ReceiverStrategy
-) -> float:
-    """Opportunistic distortion by exhaustive summation over the pipeline.
+    scenario: Scenario, eps_p: float, eps_s: float, strategies: Sequence[ReceiverStrategy]
+) -> np.ndarray:
+    """Opportunistic distortion of each strategy by exhaustive summation.
 
     Sums p(k) p(w) c_p(s_hat|s) c_s(k_hat|k) v(w_hat|s_hat,k_hat) d(w,w_hat)
     over every combination, using the channel pmfs and the cipher definition
-    directly — no delta-term algebra.  Cost O(S^2); refuses oversized
-    codebooks.
+    directly — no delta-term algebra.  One O(S^2) pass per channel pair,
+    shared by every strategy; each keeps its own mix and accumulator, so its
+    total does not depend on the others.  Returns one total per strategy, in
+    the order given; refuses oversized codebooks.
     """
     size = scenario.codebook_size
     if size > ENUMERATION_CAP:
@@ -204,7 +208,6 @@ def enumeration_oracle(
 
     alpha = scenario.alpha
     d_loss, d_conf = scenario.d_loss, scenario.d_conf
-    b1, b2, b3 = strategy.beta1, strategy.beta2, strategy.beta3
 
     words = np.arange(size)
     rowsum = _distance_rows(words, scenario)
@@ -212,20 +215,22 @@ def enumeration_oracle(
     # pin the branch probabilities.
     p_deliver = primary_pmf(0, 0, eps_p)
     p_erase = primary_pmf(NULL_MSG, 0, eps_p)
+    d_dropping = np.full(size, d_loss)
 
-    def no_key_mix(ciphertexts: np.ndarray) -> np.ndarray:
-        """E[d | delivered, no key decoded] per meaning, mixing the options."""
+    def no_key_mixes(ciphertexts: np.ndarray) -> list[np.ndarray]:
+        """E[d | delivered, no key decoded] per meaning, one per strategy."""
         d_seen = np.where(ciphertexts == words, 0.0, d_conf)
         d_perception = d_seen
-        d_dropping = np.full(size, d_loss)
         d_exclusion = (rowsum - d_seen) / (size - 1)
-        return b1 * d_perception + b2 * d_dropping + b3 * d_exclusion
+        return [s.beta1 * d_perception + s.beta2 * d_dropping + s.beta3 * d_exclusion
+                for s in strategies]
 
-    total = 0.0
+    totals = [0.0] * len(strategies)
     # Inactive deception: plaintext codeword, key channel pinned at NULL_KEY.
     p_no_key = secondary_pmf(NULL_KEY, NULL_KEY, eps_s)
-    per_w = p_erase * d_loss + p_deliver * p_no_key * no_key_mix(words)
-    total += (1.0 - alpha) * per_w.mean()
+    for i, mix in enumerate(no_key_mixes(words)):
+        per_w = p_erase * d_loss + p_deliver * p_no_key * mix
+        totals[i] += (1.0 - alpha) * per_w.mean()
 
     key_weight = alpha / (size - 1)
     for k in range(1, size):
@@ -234,8 +239,9 @@ def enumeration_oracle(
         p_lost = secondary_pmf(NULL_KEY, k, eps_s)
         decrypted = (ciphertexts - k) % size
         d_decoded = np.where(decrypted == words, 0.0, d_conf)
-        per_w = p_erase * d_loss + p_deliver * (
-            p_decoded * d_decoded + p_lost * no_key_mix(ciphertexts)
-        )
-        total += key_weight * per_w.mean()
-    return total
+        for i, mix in enumerate(no_key_mixes(ciphertexts)):
+            per_w = p_erase * d_loss + p_deliver * (
+                p_decoded * d_decoded + p_lost * mix
+            )
+            totals[i] += key_weight * per_w.mean()
+    return np.array(totals)

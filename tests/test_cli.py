@@ -572,3 +572,22 @@ def test_module_runs_as_script():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[:2] == ["snr_db,epsilon", "0.0,0.5"]
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # a 201x201 grid writes ~2 MB, far past the 64 KB pipe buffer, so the
+    # writer is still writing when the reader goes away
+    argv = [sys.executable, "-m", "pld.cli", "optimize-alpha", "--scenario",
+            str(SCENARIO_DIR / "large_codebook.json")]
+    for axis in ("bob", "eve"):
+        argv += [f"--{axis}-snr-lo", "-5", f"--{axis}-snr-hi", "5",
+                 f"--{axis}-snr-step", "0.05"]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
+    assert first.startswith(b"snr_bob_db,snr_eve_db,")

@@ -247,22 +247,94 @@ def test_enumeration_matches_closed_form_reference_point():
     sc = make_scenario(size=4, alpha=0.5)
     strat = ReceiverStrategy(0.2, 0.5, 0.3)
     closed = opportunistic_distortion(sc, 0.3, 0.4, strat).total
-    oracle = enumeration_oracle(sc, 0.3, 0.4, strat)
+    (oracle,) = enumeration_oracle(sc, 0.3, 0.4, [strat])
     assert abs(closed - oracle) / abs(oracle) < 1e-10
 
 
 def test_enumeration_perfect_channels():
     sc = make_scenario(size=5, alpha=0.4)
-    assert enumeration_oracle(sc, 0.0, 0.0, PERCEPTION) == 0.0
+    assert enumeration_oracle(sc, 0.0, 0.0, [PERCEPTION]).tolist() == [0.0]
 
 
 def test_enumeration_exclusion_reference_point():
     sc = make_scenario(size=2, alpha=0.99)
-    got = enumeration_oracle(sc, 0.0, 0.05, EXCLUSION)
+    (got,) = enumeration_oracle(sc, 0.0, 0.05, [EXCLUSION])
     assert got == pytest.approx(0.1, rel=1e-10)
 
 
 def test_enumeration_rejects_oversized_codebook():
     sc = make_scenario(size=8192)
     with pytest.raises(ValueError, match="cap"):
-        enumeration_oracle(sc, 0.1, 0.1, PERCEPTION)
+        enumeration_oracle(sc, 0.1, 0.1, [PERCEPTION])
+
+
+# Oracle totals at d_loss=1.3, d_conf=5, alpha=0.7, recorded from the
+# one-strategy-per-call oracle that preceded the grouped one:
+# (S, eps_p, eps_s) -> the four validate-gate strategies, then
+# ReceiverStrategy(0.2, 0.5, 0.3).  These levels, unlike d_loss=1 and
+# d_conf=10, make a reordered mix expression round differently.
+PINNED_STRATEGIES = (PERCEPTION, DROPPING, EXCLUSION, CENTER,
+                     ReceiverStrategy(0.2, 0.5, 0.3))
+PINNED_ORACLE = {
+    (3, 0.0, 0.0): (
+        0.0, 0.39000000000000007, 1.5000000000000002, 0.63, 0.645,
+    ),
+    (3, 0.1, 0.2): (
+        0.76, 0.6448, 1.7950000000000004, 1.0665999999999998,
+        1.0129000000000001,
+    ),
+    (3, 0.5, 0.5): (
+        1.5249999999999997, 1.0725, 1.8375, 1.4783333333333333, 1.3925,
+    ),
+    (3, 1.0, 1.0): (
+        1.2999999999999998, 1.2999999999999998, 1.2999999999999998,
+        1.2999999999999998, 1.2999999999999998,
+    ),
+    (16, 0.0, 0.0): (
+        0.0, 0.39000000000000007, 1.5000000000000002, 0.63, 0.645,
+    ),
+    (16, 0.1, 0.2): (
+        0.76, 0.6448000000000004, 2.0679999999999987, 1.1576,
+        1.0947999999999998,
+    ),
+    (16, 0.5, 0.5): (
+        1.525, 1.0725, 2.2166666666666672, 1.6047222222222224,
+        1.5062499999999994,
+    ),
+    (16, 1.0, 1.0): (
+        1.2999999999999998, 1.2999999999999998, 1.2999999999999998,
+        1.2999999999999998, 1.2999999999999998,
+    ),
+    (257, 0.0, 0.0): (
+        0.0, 0.39000000000000007, 1.5000000000000002, 0.6300000000000001,
+        0.645,
+    ),
+    (257, 0.1, 0.2): (
+        0.760000000000002, 0.6447999999999952, 2.1075390624999857,
+        1.1707796874999927, 1.1066617187499959,
+    ),
+    (257, 0.5, 0.5): (
+        1.5249999999999981, 1.0725000000000044, 2.271582031249997,
+        1.623027343749991, 1.5227246093749909,
+    ),
+    (257, 1.0, 1.0): (
+        1.300000000000006, 1.300000000000006, 1.300000000000006,
+        1.300000000000006, 1.300000000000006,
+    ),
+}
+
+
+@pytest.mark.parametrize("size,eps_p,eps_s", PINNED_ORACLE)
+def test_grouped_oracle_keeps_pinned_bits(size, eps_p, eps_s):
+    sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
+    # a repeated strategy and a reversed order ride along
+    strategies = PINNED_STRATEGIES + PINNED_STRATEGIES[:1]
+    grouped = enumeration_oracle(sc, eps_p, eps_s, strategies)
+    assert isinstance(grouped, np.ndarray) and grouped.shape == (6,)
+    pinned = PINNED_ORACLE[size, eps_p, eps_s]
+    want = [repr(x) for x in pinned + pinned[:1]]
+    assert [repr(float(x)) for x in grouped] == want
+    singles = [enumeration_oracle(sc, eps_p, eps_s, [s])[0] for s in strategies]
+    assert [repr(float(x)) for x in singles] == want
+    backwards = enumeration_oracle(sc, eps_p, eps_s, strategies[::-1])
+    assert [repr(float(x)) for x in backwards] == want[::-1]

@@ -5,6 +5,7 @@ that keeps behaviour keeps these digests; a deliberate change to an output
 format or a numeric result must update them and say why.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,18 @@ def test_cli_output_digest(tmp_path, argv, digest):
     out = tmp_path / "out.txt"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_validate_digest_at_enumerated_codebook(tmp_path):
+    # small_codebook.json has S=2, one key to enumerate; S=257 gives the
+    # enumeration gate 256 keys per channel pair
+    spec = json.loads(Path(SMALL).read_text(encoding="utf-8"))
+    spec["codebook_size"] = 257
+    scenario = tmp_path / "small_codebook.json"
+    scenario.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    argv = ["validate", "--scenario", str(scenario), "--trials", "20000",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6012688008473d9be7add603772210e45c06001f0d122fa698fb86a861330f5e")
