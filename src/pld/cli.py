@@ -377,10 +377,8 @@ def _gate_enumeration(
             f"{ENUMERATION_CAP}",
         )
     worst = 0.0
-    for eps_p, eps_s in eps_pairs:
-        oracles = distortion.enumeration_oracle(
-            scenario, eps_p, eps_s, _GATE_STRATEGIES
-        )
+    rows = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
+    for (eps_p, eps_s), oracles in zip(eps_pairs, rows):
         for strat, oracle in zip(_GATE_STRATEGIES, oracles):
             closed = distortion.opportunistic_distortion(
                 scenario, eps_p, eps_s, strat

@@ -8,7 +8,8 @@ dropping / exclusion) when no key is decoded.  ``enumeration_oracle``
 recomputes the opportunistic distortion by brute-force summation over every
 (key, meaning, delivery, key-decode, estimate) combination, sharing nothing
 with the closed forms, so the two can police each other in tests.  It makes
-one O(S^2) pass per channel pair, shared by every strategy asked about.
+one O(S^2) pass per call, shared by every channel pair and strategy asked
+about.
 """
 from __future__ import annotations
 
@@ -187,61 +188,71 @@ def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
 
 
 def enumeration_oracle(
-    scenario: Scenario, eps_p: float, eps_s: float, strategies: Sequence[ReceiverStrategy]
+    scenario: Scenario,
+    channels: Sequence[tuple[float, float]],
+    strategies: Sequence[ReceiverStrategy],
 ) -> np.ndarray:
-    """Opportunistic distortion of each strategy by exhaustive summation.
+    """Opportunistic distortion of each channel pair and strategy, exhaustively.
 
     Sums p(k) p(w) c_p(s_hat|s) c_s(k_hat|k) v(w_hat|s_hat,k_hat) d(w,w_hat)
     over every combination, using the channel pmfs and the cipher definition
-    directly — no delta-term algebra.  One O(S^2) pass per channel pair,
-    shared by every strategy; each keeps its own mix and accumulator, so its
-    total does not depend on the others.  Returns one total per strategy, in
-    the order given; refuses oversized codebooks.
+    directly — no delta-term algebra.  One O(S^2) pass per call, shared by
+    every (eps_p, eps_s) pair and strategy; each total keeps its own
+    expression and accumulator, so it does not depend on the others.
+    Returns a (len(channels), len(strategies)) array in the order given;
+    refuses oversized codebooks and bad pairs before the pass.
     """
     size = scenario.codebook_size
     if size > ENUMERATION_CAP:
         raise ValueError(
             f"codebook_size {size} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    _check_eps(eps_p, "eps_p")
-    _check_eps(eps_s, "eps_s")
+    for eps_p, eps_s in channels:
+        _check_eps(eps_p, "eps_p")
+        _check_eps(eps_s, "eps_s")
 
-    alpha = scenario.alpha
     d_loss, d_conf = scenario.d_loss, scenario.d_conf
 
     words = np.arange(size)
     rowsum = _distance_rows(words, scenario)
     # The channels treat all valid symbols alike, so representative symbols
     # pin the branch probabilities.
-    p_deliver = primary_pmf(0, 0, eps_p)
-    p_erase = primary_pmf(NULL_MSG, 0, eps_p)
-    d_dropping = np.full(size, d_loss)
+    branches = [
+        (primary_pmf(0, 0, eps_p), primary_pmf(NULL_MSG, 0, eps_p) * d_loss, eps_s)
+        for eps_p, eps_s in channels
+    ]
+    betas = np.reshape([(s.beta1, s.beta2, s.beta3) for s in strategies], (-1, 3, 1))
+    b1, b2, b3 = betas.transpose(1, 0, 2)  # (n, 1) columns broadcast over meanings
+    b2_dropping = b2 * np.full(size, d_loss)
+    mixes, block = np.empty((2, len(strategies), size))  # scratch, one row a strategy
 
-    def no_key_mixes(ciphertexts: np.ndarray) -> list[np.ndarray]:
-        """E[d | delivered, no key decoded] per meaning, one per strategy."""
+    def no_key_mixes(ciphertexts: np.ndarray) -> np.ndarray:
+        """E[d | delivered, no key decoded], one row per strategy."""
         d_seen = np.where(ciphertexts == words, 0.0, d_conf)
-        d_perception = d_seen
         d_exclusion = (rowsum - d_seen) / (size - 1)
-        return [s.beta1 * d_perception + s.beta2 * d_dropping + s.beta3 * d_exclusion
-                for s in strategies]
+        np.add(np.multiply(b1, d_seen, out=mixes), b2_dropping, out=mixes)
+        return np.add(mixes, np.multiply(b3, d_exclusion, out=block), out=mixes)
 
-    totals = [0.0] * len(strategies)
+    totals = np.zeros((len(channels), len(strategies)))
     # Inactive deception: plaintext codeword, key channel pinned at NULL_KEY.
-    p_no_key = secondary_pmf(NULL_KEY, NULL_KEY, eps_s)
-    for i, mix in enumerate(no_key_mixes(words)):
-        per_w = p_erase * d_loss + p_deliver * p_no_key * mix
-        totals[i] += (1.0 - alpha) * per_w.mean()
+    mix = no_key_mixes(words)
+    for row, (deliver, erasure, eps_s) in zip(totals, branches):
+        np.multiply(deliver * secondary_pmf(NULL_KEY, NULL_KEY, eps_s), mix, out=block)
+        block += erasure
+        row += (1.0 - scenario.alpha) * block.mean(axis=1)
 
-    key_weight = alpha / (size - 1)
+    key_weight = scenario.alpha / (size - 1)
     for k in range(1, size):
         ciphertexts = (words + k) % size
-        p_decoded = secondary_pmf(k, k, eps_s)
-        p_lost = secondary_pmf(NULL_KEY, k, eps_s)
         decrypted = (ciphertexts - k) % size
         d_decoded = np.where(decrypted == words, 0.0, d_conf)
-        for i, mix in enumerate(no_key_mixes(ciphertexts)):
-            per_w = p_erase * d_loss + p_deliver * (
-                p_decoded * d_decoded + p_lost * mix
-            )
-            totals[i] += key_weight * per_w.mean()
-    return np.array(totals)
+        mix = no_key_mixes(ciphertexts)
+        for row, (deliver, erasure, eps_s) in zip(totals, branches):
+            p_decoded = secondary_pmf(k, k, eps_s)
+            p_lost = secondary_pmf(NULL_KEY, k, eps_s)
+            np.multiply(p_lost, mix, out=block)
+            block += p_decoded * d_decoded
+            block *= deliver
+            block += erasure
+            row += key_weight * block.mean(axis=1)
+    return totals

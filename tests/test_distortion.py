@@ -4,11 +4,16 @@ The oracles in this file re-derive expectations straight from the channel
 pmfs, the cipher, and the distance function — no delta-term algebra — so
 they stay independent of the formulas under test.
 """
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pld import distortion
 from pld.channels import primary_pmf
-from pld.core import NULL_KEY, NULL_MSG, Scenario, distance
+from pld.cli import load_scenario_file
+from pld.core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Scenario, distance
 from pld.crypto import ShiftCipher
 from pld.distortion import (
     DROPPING,
@@ -23,7 +28,9 @@ from pld.distortion import (
     enumeration_oracle,
     opportunistic_distortion,
 )
+from pld.fbl import FblCode, packet_error_rate, snr_db_to_linear
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 
 
@@ -247,25 +254,25 @@ def test_enumeration_matches_closed_form_reference_point():
     sc = make_scenario(size=4, alpha=0.5)
     strat = ReceiverStrategy(0.2, 0.5, 0.3)
     closed = opportunistic_distortion(sc, 0.3, 0.4, strat).total
-    (oracle,) = enumeration_oracle(sc, 0.3, 0.4, [strat])
+    ((oracle,),) = enumeration_oracle(sc, [(0.3, 0.4)], [strat])
     assert abs(closed - oracle) / abs(oracle) < 1e-10
 
 
 def test_enumeration_perfect_channels():
     sc = make_scenario(size=5, alpha=0.4)
-    assert enumeration_oracle(sc, 0.0, 0.0, [PERCEPTION]).tolist() == [0.0]
+    assert enumeration_oracle(sc, [(0.0, 0.0)], [PERCEPTION]).tolist() == [[0.0]]
 
 
 def test_enumeration_exclusion_reference_point():
     sc = make_scenario(size=2, alpha=0.99)
-    (got,) = enumeration_oracle(sc, 0.0, 0.05, [EXCLUSION])
+    ((got,),) = enumeration_oracle(sc, [(0.0, 0.05)], [EXCLUSION])
     assert got == pytest.approx(0.1, rel=1e-10)
 
 
 def test_enumeration_rejects_oversized_codebook():
     sc = make_scenario(size=8192)
     with pytest.raises(ValueError, match="cap"):
-        enumeration_oracle(sc, 0.1, 0.1, [PERCEPTION])
+        enumeration_oracle(sc, [(0.1, 0.1)], [PERCEPTION])
 
 
 # Oracle totals at d_loss=1.3, d_conf=5, alpha=0.7, recorded from the
@@ -329,12 +336,86 @@ def test_grouped_oracle_keeps_pinned_bits(size, eps_p, eps_s):
     sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
     # a repeated strategy and a reversed order ride along
     strategies = PINNED_STRATEGIES + PINNED_STRATEGIES[:1]
-    grouped = enumeration_oracle(sc, eps_p, eps_s, strategies)
+    (grouped,) = enumeration_oracle(sc, [(eps_p, eps_s)], strategies)
     assert isinstance(grouped, np.ndarray) and grouped.shape == (6,)
     pinned = PINNED_ORACLE[size, eps_p, eps_s]
     want = [repr(x) for x in pinned + pinned[:1]]
     assert [repr(float(x)) for x in grouped] == want
-    singles = [enumeration_oracle(sc, eps_p, eps_s, [s])[0] for s in strategies]
+    singles = [enumeration_oracle(sc, [(eps_p, eps_s)], [s])[0, 0] for s in strategies]
     assert [repr(float(x)) for x in singles] == want
-    backwards = enumeration_oracle(sc, eps_p, eps_s, strategies[::-1])
+    (backwards,) = enumeration_oracle(sc, [(eps_p, eps_s)], strategies[::-1])
     assert [repr(float(x)) for x in backwards] == want[::-1]
+    # one call over this size's four pinned pairs, forwards and reversed
+    pairs = [cell[1:] for cell in PINNED_ORACLE if cell[0] == size]
+    for order in (pairs, pairs[::-1]):
+        rows = enumeration_oracle(sc, order, PINNED_STRATEGIES)
+        assert rows.shape == (4, 5)
+        assert [[repr(float(x)) for x in row] for row in rows] == [
+            [repr(x) for x in PINNED_ORACLE[(size, *pair)]] for pair in order
+        ]
+
+
+# Oracle totals of `pld validate` on scenarios/small_codebook.json with the
+# codebook at the enumeration cap, recorded from the one-call-per-pair oracle
+# that preceded the one-call-per-validate one: the pairs (eps_bob, eps_bob),
+# (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5), then the four gate strategies.
+GATE_PAIR_ORACLE = (
+    (0.0033159465832839088, 0.010602421111640505, 0.10328478119971478,
+     0.03906771629823144),
+    (2.974999999999705, 0.752499999999925, 3.024395604395398,
+     2.250631868131866),
+    (1.8820000000000783, 0.28719999999999163, 1.971564835164777,
+     1.3802549450550161),
+    (2.974999999999705, 0.752499999999925, 3.024395604395398,
+     2.250631868131866),
+)
+
+
+def test_oracle_keeps_pinned_bits_at_validate_size():
+    loaded = load_scenario_file(str(SCENARIO_DIR / "small_codebook.json"))
+    sc = replace(loaded.scenario, codebook_size=ENUMERATION_CAP)
+    code = FblCode.from_scenario(sc)
+    eps_bob = packet_error_rate(snr_db_to_linear(sc.snr_bob_db), code)
+    eps_eve = packet_error_rate(snr_db_to_linear(sc.snr_eve_db), code)
+    assert (repr(eps_bob), repr(eps_eve)) == ("0.0003042993857462194", "0.5")
+    pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
+    rows = enumeration_oracle(sc, pairs, PINNED_STRATEGIES[:4])
+    assert [[repr(float(x)) for x in row] for row in rows] == [
+        [repr(x) for x in pinned] for pinned in GATE_PAIR_ORACLE
+    ]
+
+
+@pytest.mark.parametrize("n_pairs,n_strategies", [(0, 5), (1, 1), (4, 5), (9, 2)])
+def test_oracle_builds_distance_rows_once_per_call(monkeypatch, n_pairs, n_strategies):
+    calls = []
+    original = distortion._distance_rows
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(distortion, "_distance_rows", counted)
+    sc = make_scenario(size=16)
+    pairs = [(0.1 * i, 0.05 * i) for i in range(n_pairs)]
+    rows = enumeration_oracle(sc, pairs, PINNED_STRATEGIES[:n_strategies])
+    assert rows.shape == (n_pairs, n_strategies)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    (-0.1, 0.2), (0.1, 1.5), (float("nan"), 0.2), (0.1, float("nan")),
+])
+def test_oracle_checks_every_pair_before_the_pass(monkeypatch, bad):
+    def no_pass(*args):
+        raise AssertionError("the O(S^2) pass started")
+
+    monkeypatch.setattr(distortion, "_distance_rows", no_pass)
+    sc = make_scenario(size=ENUMERATION_CAP)
+    for pairs in ([bad], [(0.1, 0.2), (0.5, 0.5), bad], [bad, (0.1, 0.2)]):
+        with pytest.raises(ValueError, match="must lie in"):
+            enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+
+
+def test_oracle_on_no_pairs_is_empty():
+    rows = enumeration_oracle(make_scenario(size=5), [], PINNED_STRATEGIES)
+    assert isinstance(rows, np.ndarray) and rows.shape == (0, 5)
