@@ -9,7 +9,8 @@ recomputes the opportunistic distortion by brute-force summation over every
 (key, meaning, delivery, key-decode, estimate) combination, sharing nothing
 with the closed forms, so the two can police each other in tests.  It makes
 one O(S^2) pass per call, shared by every channel pair and strategy asked
-about.
+about: every key's cipher runs, and its arithmetic is reused when its masks
+and key-channel probabilities repeat the previous key's.
 """
 from __future__ import annotations
 
@@ -187,6 +188,16 @@ def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
     return rowsum
 
 
+def _no_key_mixes(
+    seen: np.ndarray, rowsum: np.ndarray, weights: tuple, d_conf: float
+) -> np.ndarray:
+    """E[d | delivered, no key decoded], one row a strategy; seen: s == w."""
+    b1, b2_dropping, b3 = weights
+    d_seen = np.where(seen, 0.0, d_conf)
+    d_exclusion = (rowsum - d_seen) / (seen.size - 1)
+    return b1 * d_seen + b2_dropping + b3 * d_exclusion
+
+
 def enumeration_oracle(
     scenario: Scenario,
     channels: Sequence[tuple[float, float]],
@@ -199,6 +210,8 @@ def enumeration_oracle(
     directly — no delta-term algebra.  One O(S^2) pass per call, shared by
     every (eps_p, eps_s) pair and strategy; each total keeps its own
     expression and accumulator, so it does not depend on the others.
+    Every key's cipher runs; its terms are reused when its two masks and
+    key-channel pmfs repeat the previous key's bit for bit.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses oversized codebooks and bad pairs before the pass.
     """
@@ -210,6 +223,9 @@ def enumeration_oracle(
     for eps_p, eps_s in channels:
         _check_eps(eps_p, "eps_p")
         _check_eps(eps_s, "eps_s")
+    totals = np.zeros((len(channels), len(strategies)))
+    if totals.size == 0:
+        return totals
 
     d_loss, d_conf = scenario.d_loss, scenario.d_conf
 
@@ -223,36 +239,34 @@ def enumeration_oracle(
     ]
     betas = np.reshape([(s.beta1, s.beta2, s.beta3) for s in strategies], (-1, 3, 1))
     b1, b2, b3 = betas.transpose(1, 0, 2)  # (n, 1) columns broadcast over meanings
-    b2_dropping = b2 * np.full(size, d_loss)
-    mixes, block = np.empty((2, len(strategies), size))  # scratch, one row a strategy
+    weights = (b1, b2 * np.full(size, d_loss), b3)
+    block = np.empty((len(strategies), size))  # scratch, one row a strategy
 
-    def no_key_mixes(ciphertexts: np.ndarray) -> np.ndarray:
-        """E[d | delivered, no key decoded], one row per strategy."""
-        d_seen = np.where(ciphertexts == words, 0.0, d_conf)
-        d_exclusion = (rowsum - d_seen) / (size - 1)
-        np.add(np.multiply(b1, d_seen, out=mixes), b2_dropping, out=mixes)
-        return np.add(mixes, np.multiply(b3, d_exclusion, out=block), out=mixes)
-
-    totals = np.zeros((len(channels), len(strategies)))
     # Inactive deception: plaintext codeword, key channel pinned at NULL_KEY.
-    mix = no_key_mixes(words)
+    mix = _no_key_mixes(words == words, rowsum, weights, d_conf)
     for row, (deliver, erasure, eps_s) in zip(totals, branches):
         np.multiply(deliver * secondary_pmf(NULL_KEY, NULL_KEY, eps_s), mix, out=block)
         block += erasure
         row += (1.0 - scenario.alpha) * block.mean(axis=1)
 
     key_weight = scenario.alpha / (size - 1)
+    terms, last = np.empty_like(totals), b""
     for k in range(1, size):
         ciphertexts = (words + k) % size
-        decrypted = (ciphertexts - k) % size
-        d_decoded = np.where(decrypted == words, 0.0, d_conf)
-        mix = no_key_mixes(ciphertexts)
-        for row, (deliver, erasure, eps_s) in zip(totals, branches):
-            p_decoded = secondary_pmf(k, k, eps_s)
-            p_lost = secondary_pmf(NULL_KEY, k, eps_s)
-            np.multiply(p_lost, mix, out=block)
-            block += p_decoded * d_decoded
-            block *= deliver
-            block += erasure
-            row += key_weight * block.mean(axis=1)
+        seen, decoded = ciphertexts == words, (ciphertexts - k) % size == words
+        pmfs = [(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
+                for *_, eps_s in branches]
+        signature = seen.tobytes() + decoded.tobytes() + np.array(pmfs).tobytes()
+        if signature != last:
+            last = signature
+            d_decoded = np.where(decoded, 0.0, d_conf)
+            mix = _no_key_mixes(seen, rowsum, weights, d_conf)
+            for i, (p_decoded, p_lost) in enumerate(pmfs):
+                deliver, erasure, _ = branches[i]
+                np.multiply(p_lost, mix, out=block)
+                block += p_decoded * d_decoded
+                block *= deliver
+                block += erasure
+                np.multiply(key_weight, block.mean(axis=1), out=terms[i])
+        totals += terms
     return totals

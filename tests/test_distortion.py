@@ -385,7 +385,9 @@ def test_oracle_keeps_pinned_bits_at_validate_size():
     ]
 
 
-@pytest.mark.parametrize("n_pairs,n_strategies", [(0, 5), (1, 1), (4, 5), (9, 2)])
+@pytest.mark.parametrize(
+    "n_pairs,n_strategies", [(0, 5), (3, 0), (1, 1), (4, 5), (9, 2)]
+)
 def test_oracle_builds_distance_rows_once_per_call(monkeypatch, n_pairs, n_strategies):
     calls = []
     original = distortion._distance_rows
@@ -399,7 +401,8 @@ def test_oracle_builds_distance_rows_once_per_call(monkeypatch, n_pairs, n_strat
     pairs = [(0.1 * i, 0.05 * i) for i in range(n_pairs)]
     rows = enumeration_oracle(sc, pairs, PINNED_STRATEGIES[:n_strategies])
     assert rows.shape == (n_pairs, n_strategies)
-    assert len(calls) == 1
+    # nothing to fill, no pass
+    assert len(calls) == (1 if n_pairs and n_strategies else 0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -419,3 +422,68 @@ def test_oracle_checks_every_pair_before_the_pass(monkeypatch, bad):
 def test_oracle_on_no_pairs_is_empty():
     rows = enumeration_oracle(make_scenario(size=5), [], PINNED_STRATEGIES)
     assert isinstance(rows, np.ndarray) and rows.shape == (0, 5)
+
+
+# The oracle reuses a key's terms while its cipher masks and key-channel pmfs
+# repeat the previous key's; under the shift cipher every key k >= 1 repeats
+# key 1.  A key-dependent change must still reach that key's terms.
+
+def _key_channel_patch(monkeypatch, eps_of_key):
+    """Serve each key k >= 1 the key channel at eps_of_key(k, eps_s)."""
+    original = distortion.secondary_pmf
+
+    def patched(k_hat, k, eps_s):
+        return original(k_hat, k, eps_s if k is NULL_KEY else eps_of_key(k, eps_s))
+
+    monkeypatch.setattr(distortion, "secondary_pmf", patched)
+
+
+# eps_s / 2, then a change below float32 resolution: pmfs compare exactly
+@pytest.mark.parametrize("factor", [0.5, 1.0 + 2.0**-30])
+def test_oracle_sees_a_change_to_one_keys_channel(monkeypatch, factor):
+    sc = make_scenario(size=16, alpha=0.7, d_loss=1.3, d_conf=5.0)
+    pairs = [(0.1, 0.2), (0.5, 0.5)]
+    plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    moved = enumeration_oracle(sc, [(0.5, 0.5 * factor)], PINNED_STRATEGIES)[0]
+    # only key 2 of the second pair sees eps_s * factor
+    _key_channel_patch(
+        monkeypatch,
+        lambda k, eps_s: eps_s * factor if (k, eps_s) == (2, 0.5) else eps_s,
+    )
+    patched = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    assert [repr(float(x)) for x in patched[0]] == [repr(float(x)) for x in plain[0]]
+    assert all(patched[1] != plain[1])
+    # key 2 carries 1/(S-1) of the active mass; the inactive term has no key
+    assert patched[1] == pytest.approx(plain[1] + (moved - plain[1]) / 15, rel=1e-12)
+
+
+def test_oracle_with_every_keys_channel_changed_is_that_channel(monkeypatch):
+    sc = make_scenario(size=16, alpha=0.7, d_loss=1.3, d_conf=5.0)
+    pairs = [(0.1, 0.2), (0.5, 0.5)]
+    want = enumeration_oracle(sc, [(0.1, 0.1), (0.5, 0.25)], PINNED_STRATEGIES)
+    _key_channel_patch(monkeypatch, lambda k, eps_s: eps_s / 2)
+    got = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    assert [[repr(float(x)) for x in row] for row in got] == [
+        [repr(float(x)) for x in row] for row in want
+    ]
+
+
+@pytest.mark.parametrize("size", [3, 16, ENUMERATION_CAP])
+@pytest.mark.parametrize("n_pairs", [1, 4])
+def test_oracle_runs_key_arithmetic_for_the_inactive_term_and_key_one(
+    monkeypatch, size, n_pairs
+):
+    calls = []
+    original = distortion._no_key_mixes
+
+    def counted(seen, *args):
+        calls.append(seen.copy())
+        return original(seen, *args)
+
+    monkeypatch.setattr(distortion, "_no_key_mixes", counted)
+    sc = make_scenario(size=size)
+    pairs = [(0.1 * i, 0.05 * i) for i in range(n_pairs)]
+    enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    # the inactive term's plaintext codewords, then key 1's ciphertexts
+    assert [seen.all() for seen in calls] == [True, False]
+    assert not calls[1].any()
