@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import distortion, montecarlo, strategy
-from .channels import TransportChannel, primary_pmf, secondary_pmf
+from .channels import primary_pmf, secondary_pmf
 from .core import (
     ENUMERATION_CAP,
     NULL_KEY,
@@ -226,68 +226,77 @@ def cmd_sweep_receiver(args) -> int:
 
 
 class _Reprs(dict):
-    """``repr`` of each float looked up, memoised.  Zeros are not kept:
-    0.0 and -0.0 are one key but two strings."""
+    """``repr`` of each float looked up, memoised up to ``_BLOCK`` floats.  Zeros
+    are not kept: 0.0 and -0.0 are one key but two strings."""
 
     def __missing__(self, x: float) -> str:
         text = repr(x)
-        if x:
+        if x and len(self) < _BLOCK:
             self[x] = text
         return text
 
 
-def _deception_blocks(
-    bobs: list[float],
-    value_bobs: list[strategy.PiecewiseLinear],
-    intervals: list[tuple[tuple[float, float], ...]],
-    eves: list[float],
-    value_eves: np.ndarray,
-) -> Iterator[str]:
-    """The optimize-alpha CSV lines of each Bob SNR in turn, one block each."""
-    eve_cells = [repr(snr) + "," for snr in eves]
-    infeasible = [cell + "nan,nan,nan,false" for cell in eve_cells]
+#: Eve SNRs per block of curves, and cells per search pass: bounds the scratch
+_BLOCK = 1 << 15
+
+
+def _error_rates(code: FblCode, snrs: np.ndarray) -> np.ndarray:
+    """FBL error rate at each SNR, one ``math`` call each: numpy's
+    transcendentals may round differently."""
+    return np.array([packet_error_rate(snr_db_to_linear(snr), code)
+                     for snr in snrs.tolist()])
+
+
+def _eve_text(snrs: np.ndarray) -> tuple[list[str], list[str]]:
+    """Each Eve SNR's CSV cell, and its infeasible line without the Bob cell."""
+    cells = [repr(snr) + "," for snr in snrs.tolist()]
+    return cells, [cell + "nan,nan,nan,false" for cell in cells]
+
+
+def _deception_blocks(loaded: ScenarioFile, bobs: np.ndarray, bob_eps: np.ndarray,
+                      eves: np.ndarray, eve_curves: list[np.ndarray]) -> Iterator[str]:
+    """The optimize-alpha CSV lines, one block of Eve SNRs of one Bob SNR each.
+
+    A search pass covers as many Bob rows as fit in ``_BLOCK`` cells.  An Eve
+    axis longer than one block leaves room for one row a pass, so the rows
+    still come out in order; its text is then made again for each row.
+    """
+    text = _eve_text(eves) if len(eve_curves) == 1 else None
+    group = max(1, _BLOCK // len(eves))
     reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
-    for snr, value_bob, feasible in zip(bobs, value_bobs, intervals):
-        head = repr(snr) + ","
-        if not feasible:
-            yield head + ("\n" + head).join(infeasible) + "\n"
-            continue
-        plans = strategy.deception_search(value_bob, feasible, value_eves)
-        yield "".join([
-            f"{head}{cell}{reprs[a]},{reprs[e]},{b!r},true\n"
-            for cell, a, e, b in zip(eve_cells, *(v.tolist() for v in plans))
-        ])
+    for rows in (slice(first, first + group) for first in range(0, len(bobs), group)):
+        curves = strategy.receiver_curves(loaded.scenario, bob_eps[rows], bob_eps[rows])
+        found = [strategy.sublevel_intervals(strategy.PiecewiseLinear.from_row(row),
+                                             loaded.d_max)
+                 for row in curves.transpose(1, 0, 2)]
+        heads = [repr(snr) + "," for snr in bobs[rows].tolist()]
+        for block, eve_block in enumerate(eve_curves):
+            cells, infeasible = text or _eve_text(eves[block * _BLOCK:][:_BLOCK])
+            plans = strategy.deception_search(curves, found, eve_block)
+            for head, feasible, plan in zip(heads, found, plans.transpose(1, 0, 2)):
+                if not feasible:
+                    yield head + ("\n" + head).join(infeasible) + "\n"
+                    continue
+                yield "".join([
+                    f"{head}{cell}{reprs[a]},{reprs[e]},{b!r},true\n"
+                    for cell, a, e, b in zip(cells, *plan.tolist())
+                ])
 
 
 def cmd_optimize_alpha(args) -> int:
     # a curve depends on its own SNR only: evaluate each axis value once,
     # all of them before --out is opened, as only they can fail
     loaded = load_scenario_file(args.scenario)
-    bobs = snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step)
-    eves = snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step)
     code = FblCode.from_scenario(loaded.scenario)
-
-    def value_of_alpha(snr: float) -> strategy.PiecewiseLinear:
-        channel = TransportChannel.from_snr_db(snr, code)
-        return strategy.receiver_value_of_alpha(
-            loaded.scenario, channel.eps_primary, channel.eps_secondary
-        )
-
-    value_eves = strategy.stack_curves([value_of_alpha(snr) for snr in eves])
-    value_bobs = [value_of_alpha(snr) for snr in bobs]
-    intervals = [strategy.sublevel_intervals(v, loaded.d_max) for v in value_bobs]
-    write_csv(
-        [
-            "snr_bob_db",
-            "snr_eve_db",
-            "alpha_opt",
-            "eve_distortion",
-            "bob_distortion",
-            "feasible",
-        ],
-        _deception_blocks(bobs, value_bobs, intervals, eves, value_eves),
-        args.out,
-    )
+    bobs = np.array(snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step))
+    eves = np.array(snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step))
+    eve_curves = [strategy.receiver_curves(loaded.scenario, eps, eps) for eps in
+                  np.split(_error_rates(code, eves), range(_BLOCK, len(eves), _BLOCK))]
+    bob_eps = _error_rates(code, bobs)
+    header = ["snr_bob_db", "snr_eve_db", "alpha_opt", "eve_distortion",
+              "bob_distortion", "feasible"]
+    blocks = _deception_blocks(loaded, bobs, bob_eps, eves, eve_curves)
+    write_csv(header, blocks, args.out)
     return 0
 
 

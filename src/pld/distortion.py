@@ -139,18 +139,19 @@ def delta_terms(scenario: Scenario, eps_s: float) -> DeltaTerms:
       the other S-1, recovering the truth with chance 1/(S-1) if a key was
       in use, never if the codeword already was the plaintext.
     """
-    return _delta_terms_at(scenario, eps_s, scenario.alpha)
-
-
-def _delta_terms_at(scenario: Scenario, eps_s: float, a: float) -> DeltaTerms:
-    """``delta_terms`` at activation rate ``a``; the scenario's alpha is unused."""
     _check_eps(eps_s, "eps_s")
+    return DeltaTerms(*_delta_terms_at(scenario, eps_s, scenario.alpha))
+
+
+def _delta_terms_at(scenario: Scenario, eps_s, a: float) -> tuple:
+    """The three delta terms at activation rate ``a``, for one ``eps_s`` or an
+    array of them; the scenario's alpha is unused and nothing is checked."""
     # (S-2)/(S-1), exactly 0 at S=2 and stable (rounds to 1.0) at S=2**64.
     wrong_ratio = 1.0 - 1.0 / (scenario.codebook_size - 1)
     delta1 = eps_s * a * scenario.d_conf
     delta2 = (eps_s * a + (1.0 - a)) * scenario.d_loss
     delta3 = (eps_s * a * wrong_ratio + (1.0 - a)) * scenario.d_conf
-    return DeltaTerms(delta1, delta2, delta3)
+    return delta1, delta2, delta3
 
 
 def opportunistic_distortion(

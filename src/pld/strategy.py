@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import TransportChannel
+from .channels import TransportChannel, _check_eps
 from .core import Scenario, real_violations
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
 from .fbl import FblCode
@@ -45,7 +45,6 @@ class LinearPiece:
     hi: float
     intercept: float
     slope: float
-    label: str
 
     def value_at(self, x: float) -> float:
         return self.intercept + self.slope * x
@@ -60,6 +59,13 @@ class PiecewiseLinear:
     def __post_init__(self) -> None:
         if not self.pieces:
             raise ValueError("piecewise-linear function needs >= 1 piece")
+
+    @classmethod
+    def from_row(cls, row: np.ndarray) -> PiecewiseLinear:
+        """View on [0, 1] of one ``(3, w)`` curve of a ``lower_envelopes`` stack."""
+        starts, intercepts, slopes = row[:, row[0] < math.inf].tolist()
+        ends = starts[1:] + [1.0]
+        return cls(tuple(map(LinearPiece, starts, ends, intercepts, slopes)))
 
     @property
     def lo(self) -> float:
@@ -84,29 +90,33 @@ class PiecewiseLinear:
         return self.piece_at(x).value_at(x)
 
 
-def lower_envelope(
-    affines: list[tuple[float, float, str]], lo: float, hi: float
-) -> PiecewiseLinear:
-    """Pointwise minimum of affine functions (intercept, slope, label) pairs."""
-    if hi <= lo:
-        raise ValueError(f"empty domain [{lo}, {hi}]")
-    knots = {lo, hi}
-    for i, (ci, mi, _) in enumerate(affines):
-        for cj, mj, _ in affines[i + 1 :]:
-            if mi != mj:
-                x = (cj - ci) / (mi - mj)
-                if lo < x < hi:
-                    knots.add(x)
-    cuts = sorted(knots)
-    pieces: list[LinearPiece] = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        c, m, label = min(affines, key=lambda t: t[0] + t[1] * mid)
-        if pieces and pieces[-1].intercept == c and pieces[-1].slope == m:
-            pieces[-1] = replace(pieces[-1], hi=b)
-        else:
-            pieces.append(LinearPiece(a, b, c, m, label))
-    return PiecewiseLinear(tuple(pieces))
+def lower_envelopes(intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Pointwise minimum on [0, 1] of the k lines ``intercepts[:, j] + slopes[:, j]*x``
+    at each point j, as one ``(3, n, w)`` stack of piece starts, intercepts and
+    slopes; a curve of fewer than w pieces is padded with pieces that start at
+    +inf, which no point in the domain reaches.  Knots of lines with different
+    slopes strictly inside cut the domain; between distinct cuts, the first
+    line lowest at the midpoint is active, and neighbours on equal lines merge.
+    """
+    c, m = intercepts.T, slopes.T
+    i, j = np.triu_indices(c.shape[1], 1)
+    # equal slopes (all lines are flat at eps_p = 1) give inf or nan knots, and
+    # intervals past the last cut infinite midpoints: neither makes a piece
+    with np.errstate(all="ignore"):
+        knots = (c[:, j] - c[:, i]) / (m[:, i] - m[:, j])
+        knots[~((0.0 < knots) & (knots < 1.0))] = math.inf
+        cuts = np.sort(np.column_stack((np.zeros(len(c)), np.ones(len(c)), knots)))
+        cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = math.inf  # a repeated cut
+        cuts.sort()
+        a, b = cuts[:, :-1], cuts[:, 1:]  # intervals with b <= 1 lead, in order
+        line = (c[:, None] + m[:, None] * (0.5 * (a + b))[:, :, None]).argmin(axis=2)
+    c, m = np.take_along_axis(c, line, 1), np.take_along_axis(m, line, 1)
+    new = b <= 1.0
+    new[:, 1:] &= (c[:, 1:] != c[:, :-1]) | (m[:, 1:] != m[:, :-1])
+    order = np.argsort(~new, axis=1, kind="stable")[:, : new.sum(axis=1).max()]
+    stack = np.stack([np.take_along_axis(v, order, 1) for v in (a, c, m)])
+    stack[:, ~np.take_along_axis(new, order, 1)] = math.inf
+    return stack
 
 
 def optimal_receiver_strategy(
@@ -140,26 +150,31 @@ def optimal_receiver_strategy(
     return ReceiverSolution(strategy, value, label)
 
 
-def receiver_value_of_alpha(
-    scenario: Scenario, eps_p: float, eps_s: float
-) -> PiecewiseLinear:
-    """Optimized receiver distortion as a function of the activation rate.
+def receiver_curves(
+    scenario: Scenario, eps_p: np.ndarray, eps_s: np.ndarray
+) -> np.ndarray:
+    """Optimized receiver distortion in the activation rate at each pair of
+    ``eps_p`` and ``eps_s`` (arrays), as a ``lower_envelopes`` stack.
 
     Each delta term is exactly affine in alpha, so evaluating the closed
     forms at alpha=0 and alpha=1 recovers intercepts and slopes without
-    duplicating any formula; the optimized distortion is the concave lower
-    envelope scaled by the delivery probability on top of the erasure floor.
-    The scenario's own alpha field is ignored.
+    duplicating any formula; the envelope is scaled by the delivery
+    probability on top of the erasure floor.  The scenario's alpha is unused.
     """
-    at0 = _delta_terms_at(scenario, eps_s, 0.0).as_tuple()
-    at1 = _delta_terms_at(scenario, eps_s, 1.0).as_tuple()
+    at0 = np.array(_delta_terms_at(scenario, eps_s, 0.0))
+    at1 = np.array(_delta_terms_at(scenario, eps_s, 1.0))
     deliver = 1.0 - eps_p
-    floor = eps_p * scenario.d_loss
-    affines = [
-        (floor + deliver * c0, deliver * (c1 - c0), label)
-        for c0, c1, label in zip(at0, at1, OPTION_LABELS)
-    ]
-    return lower_envelope(affines, 0.0, 1.0)
+    intercepts = eps_p * scenario.d_loss + deliver * at0
+    return lower_envelopes(intercepts, deliver * (at1 - at0))
+
+
+def receiver_value_of_alpha(
+    scenario: Scenario, eps_p: float, eps_s: float
+) -> PiecewiseLinear:
+    """``receiver_curves`` at one channel pair, as a piecewise-linear view."""
+    _check_eps(eps_s, "eps_s")
+    curves = receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))
+    return PiecewiseLinear.from_row(curves[:, 0])
 
 
 def sublevel_intervals(
@@ -203,68 +218,50 @@ class DeceptionPlan:
     feasible: bool
 
 
-def stack_curves(curves: list[PiecewiseLinear]) -> np.ndarray:
-    """Curves as one ``(3, n, w)`` array: piece starts, intercepts, slopes.
-
-    ``w`` is the largest piece count; a shorter curve is padded with pieces
-    that start at +inf, which no point in the domain reaches.
-    """
-    width = max(len(curve.pieces) for curve in curves)
-    pad = [(math.inf, math.inf, math.inf)]
-    rows = [
-        [(p.lo, p.intercept, p.slope) for p in curve.pieces]
-        + pad * (width - len(curve.pieces))
-        for curve in curves
-    ]
-    return np.array(rows, dtype=np.float64).transpose(2, 0, 1)
-
-
 def _values_at(curves: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of ``x`` evaluated on stacked curve i, bit for bit as ``piece_at``.
+    """``x[..., i, :]`` evaluated on stacked curve i, bit for bit as ``piece_at``.
 
     The piece is the one after every breakpoint <= x (``bisect_right``), and
     its value is ``intercept + slope*x``, the same two IEEE operations.
     """
     starts, intercepts, slopes = curves
-    piece = (starts[:, None, 1:] <= x[:, :, None]).sum(axis=2)
-    return (
-        np.take_along_axis(intercepts, piece, 1)
-        + np.take_along_axis(slopes, piece, 1) * x
-    )
+    piece = (starts[:, None, 1:] <= x[..., None]).sum(axis=-1)
+    shape = piece.shape[:-1] + starts.shape[-1:]
+    c, m = (np.take_along_axis(np.broadcast_to(v, shape), piece, -1)
+            for v in (intercepts, slopes))
+    return c + m * x
 
 
-def deception_search(
-    value_bob: PiecewiseLinear,
-    intervals: tuple[tuple[float, float], ...],
-    eves: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize every stacked Eve curve on Bob's ``sublevel_intervals``.
+def deception_search(bobs: np.ndarray, intervals: list, eves: np.ndarray) -> np.ndarray:
+    """Maximize every stacked Eve curve on each Bob curve's ``sublevel_intervals``.
 
-    Returns ``(alpha_opt, eve_distortion, bob_distortion)``, one entry per
-    curve of ``eves`` (see ``stack_curves``), all nan without an interval.
-    Only interval endpoints and Eve's breakpoints strictly inside an
-    interval can be maximal; ties go to the larger alpha (more deception,
-    same objective).
+    ``bobs`` and ``eves`` are ``lower_envelopes`` stacks, with one tuple of
+    intervals per Bob curve.  Returns alpha_opt, eve_distortion and
+    bob_distortion as one ``(3, len(intervals), n)`` array, nan on a row
+    without an interval.  Only interval endpoints and Eve's breakpoints
+    strictly inside an interval can be maximal; ties go to the larger alpha
+    (more deception, same objective).
     """
-    n = eves.shape[1]
-    if not intervals:
-        nan = np.full(n, math.nan)
-        return nan, nan, nan
-    ends = np.array(intervals, dtype=np.float64).ravel()
-    breaks = eves[0, :, 1:]
-    inside = np.zeros(breaks.shape, dtype=bool)
-    for lo, hi in intervals:
-        inside |= (lo < breaks) & (breaks < hi)
+    out = np.full((3, len(intervals), eves.shape[1]), math.nan)
+    rows = [i for i, found in enumerate(intervals) if found]
+    if not rows:
+        return out
+    width = max(len(intervals[i]) for i in rows)
+    # a row's first interval stands in for the intervals it lacks
+    spans = np.array([intervals[i] + intervals[i][:1] * (width - len(intervals[i]))
+                      for i in rows])
+    breaks = eves[0, None, :, None, 1:]
+    lo, hi = spans[:, None, :, :1], spans[:, None, :, 1:]
+    inside = ((lo < breaks) & (breaks < hi)).any(axis=2)
+    ends = spans.reshape(len(rows), 1, 2 * width)
     # a breakpoint outside every interval stands in as a repeated endpoint
-    x = np.concatenate(
-        (np.broadcast_to(ends, (n, ends.size)), np.where(inside, breaks, ends[0])),
-        axis=1,
-    )
+    x = np.concatenate((np.broadcast_to(ends, inside.shape[:2] + ends.shape[2:]),
+                        np.where(inside, breaks[:, :, 0], ends[:, :, :1])), axis=2)
     values = _values_at(eves, x)
-    best = values.max(axis=1)
-    alpha = np.where(values == best[:, None], x, -math.inf).max(axis=1)
-    bob = _values_at(stack_curves([value_bob]), alpha[None, :])[0]
-    return alpha, best, bob
+    best = values.max(axis=2)
+    alpha = np.where(values == best[..., None], x, -math.inf).max(axis=2)
+    out[:, rows] = alpha, best, _values_at(bobs[:, rows], alpha)
+    return out
 
 
 def optimize_deception(
@@ -289,14 +286,8 @@ def optimize_deception(
         bob_channel = TransportChannel.from_snr_db(scenario.snr_bob_db, code)
     if eve_channel is None:
         eve_channel = TransportChannel.from_snr_db(scenario.snr_eve_db, code)
-    value_bob = receiver_value_of_alpha(
-        scenario, bob_channel.eps_primary, bob_channel.eps_secondary
-    )
-    value_eve = receiver_value_of_alpha(
-        scenario, eve_channel.eps_primary, eve_channel.eps_secondary
-    )
-    intervals = sublevel_intervals(value_bob, d_max)
-    alpha, eve, bob = deception_search(value_bob, intervals, stack_curves([value_eve]))
-    return DeceptionPlan(
-        float(alpha[0]), float(eve[0]), float(bob[0]), intervals, bool(intervals)
-    )
+    pairs = [(c.eps_primary, c.eps_secondary) for c in (bob_channel, eve_channel)]
+    curves = receiver_curves(scenario, *np.transpose(pairs))
+    intervals = sublevel_intervals(PiecewiseLinear.from_row(curves[:, 0]), d_max)
+    plan = deception_search(curves[:, :1], [intervals], curves[:, 1:])[:, 0, 0]
+    return DeceptionPlan(*plan.tolist(), intervals, bool(intervals))

@@ -462,6 +462,25 @@ def test_optimize_alpha_streams_a_large_grid(tmp_path):
     assert peak_mb < 150
 
 
+def test_optimize_alpha_long_axis_memory_is_bounded():
+    """2 Bob x 2,000,001 Eve SNRs: curves, search and text go block by block."""
+    argv = ["optimize-alpha", "--scenario", str(SCENARIO_DIR / "large_codebook.json"),
+            "--bob-snr-lo", "4", "--bob-snr-hi", "4.5", "--bob-snr-step", "0.5",
+            "--eve-snr-lo", "-5", "--eve-snr-hi", "5", "--eve-snr-step", "0.000005",
+            "--out", os.devnull]
+    child = (
+        "import resource; from pld.cli import main; "
+        f"print(main({argv!r}), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    code, max_rss_kib = done.stdout.split()  # ru_maxrss is in KiB on Linux
+    assert code == "0"
+    assert int(max_rss_kib) / 1024 < 300
+
+
 @pytest.mark.parametrize("axis", ["bob", "eve"])
 def test_optimize_alpha_snr_overflow(tmp_path, capsys, axis):
     out = tmp_path / "grid.csv"

@@ -6,6 +6,9 @@ format or a numeric result must update them and say why.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from pld.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SRC_DIR = SCENARIO_DIR.parent / "src"
 SMALL = str(SCENARIO_DIR / "small_codebook.json")
 LARGE = str(SCENARIO_DIR / "large_codebook.json")
 
@@ -75,3 +79,22 @@ def test_validate_digest_at_enumerated_codebook(tmp_path):
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6012688008473d9be7add603772210e45c06001f0d122fa698fb86a861330f5e")
+
+
+def test_optimize_alpha_digest_at_extreme_magnitudes(tmp_path):
+    # distortions near the largest float, and a 33,334-point Eve axis that
+    # spans more than one block of curves
+    spec = json.loads(Path(LARGE).read_text(encoding="utf-8"))
+    spec.update(d_loss=1e307, d_conf=1.7e308, d_max=1e305)
+    scenario = tmp_path / "extreme.json"
+    scenario.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = [sys.executable, "-m", "pld.cli", "optimize-alpha",
+            "--scenario", str(scenario),
+            *_axes("bob", "-40", "60", "20"), *_axes("eve", "-40", "60", "0.003"),
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "117278ae4056181ee31fccf4bacd365268c6b3f7ed7721042dcac8620d65e965")

@@ -15,11 +15,10 @@ from pld.strategy import (
     LinearPiece,
     PiecewiseLinear,
     deception_search,
-    lower_envelope,
+    lower_envelopes,
     optimal_receiver_strategy,
     optimize_deception,
     receiver_value_of_alpha,
-    stack_curves,
     sublevel_intervals,
 )
 
@@ -103,24 +102,40 @@ def test_strategy_choice_scale_invariant():
 # piecewise-linear machinery
 # ---------------------------------------------------------------------------
 
+def lower_envelope(*lines):
+    """The envelope on [0, 1] of (intercept, slope) lines, as a one-curve view."""
+    intercepts, slopes = np.array(lines).T[:, :, None]
+    return PiecewiseLinear.from_row(lower_envelopes(intercepts, slopes)[:, 0])
+
+
+def lines_of(pwl):
+    return [(p.intercept, p.slope) for p in pwl.pieces]
+
+
+def stack(curves):
+    """Curves as one ``(3, n, w)`` stack, padded with pieces that start at +inf."""
+    width = max(len(c.pieces) for c in curves)
+    rows = [[(p.lo, p.intercept, p.slope) for p in c.pieces]
+            + [(math.inf,) * 3] * (width - len(c.pieces)) for c in curves]
+    return np.array(rows, dtype=np.float64).transpose(2, 0, 1)
+
+
 def test_lower_envelope_of_crossing_lines():
-    pwl = lower_envelope([(1.0, -1.0, "down"), (0.0, 1.0, "up")], 0.0, 1.0)
-    assert [p.label for p in pwl.pieces] == ["up", "down"]
+    pwl = lower_envelope((1.0, -1.0), (0.0, 1.0))
+    assert lines_of(pwl) == [(0.0, 1.0), (1.0, -1.0)]
     assert pwl.breakpoints == pytest.approx([0.5])
     assert pwl(0.25) == pytest.approx(0.25)
     assert pwl(0.75) == pytest.approx(0.25)
 
 
 def test_lower_envelope_drops_dominated_line():
-    pwl = lower_envelope(
-        [(0.0, 0.5, "a"), (2.0, 0.0, "never"), (0.6, -0.5, "b")], 0.0, 1.0
-    )
-    assert "never" not in {p.label for p in pwl.pieces}
+    pwl = lower_envelope((0.0, 0.5), (2.0, 0.0), (0.6, -0.5))
+    assert lines_of(pwl) == [(0.0, 0.5), (0.6, -0.5)]
 
 
 def test_piece_lookup_and_domain():
-    pwl = lower_envelope([(0.0, 1.0, "up")], 0.0, 1.0)
-    assert pwl.piece_at(0.5).label == "up"
+    pwl = lower_envelope((0.0, 1.0))
+    assert pwl.piece_at(0.5) == LinearPiece(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         pwl(1.5)
     with pytest.raises(ValueError):
@@ -128,7 +143,7 @@ def test_piece_lookup_and_domain():
 
 
 TENT = PiecewiseLinear(
-    (LinearPiece(0.0, 0.5, 0.0, 2.0, "a"), LinearPiece(0.5, 1.0, 2.0, -2.0, "b"))
+    (LinearPiece(0.0, 0.5, 0.0, 2.0), LinearPiece(0.5, 1.0, 2.0, -2.0))
 )
 
 
@@ -165,12 +180,17 @@ def test_envelope_is_concave():
 
 
 def test_envelope_structure():
-    pwl = receiver_value_of_alpha(make_scenario(size=2), 0.1, 0.05)
+    sc = make_scenario(size=2)
+    pwl = receiver_value_of_alpha(sc, 0.1, 0.05)
+    at0, at1 = (delta_terms(dataclasses.replace(sc, alpha=a), 0.05).as_tuple()
+                for a in (0.0, 1.0))
+    options = dict(zip([(0.1 * 1.0 + 0.9 * c0, 0.9 * (c1 - c0))
+                        for c0, c1 in zip(at0, at1)], OPTION_LABELS))
     assert pwl.lo == 0.0 and pwl.hi == 1.0
     assert len(pwl.breakpoints) <= 2
-    assert all(p.label in OPTION_LABELS for p in pwl.pieces)
-    assert [p.label for p in pwl.pieces][0] == "perception"
-    assert [p.label for p in pwl.pieces][-1] == "exclusion"
+    labels = [options[line] for line in lines_of(pwl)]
+    assert labels[0] == "perception"
+    assert labels[-1] == "exclusion"
     for left, right in zip(pwl.pieces, pwl.pieces[1:]):
         assert left.hi == right.lo
         assert left.value_at(left.hi) == pytest.approx(right.value_at(right.lo))
@@ -187,11 +207,9 @@ def test_envelope_floor_at_zero_deception():
 # ---------------------------------------------------------------------------
 
 def search_one(value_bob, intervals, value_eve):
-    """``deception_search`` on a stack of one Eve curve, as a plan."""
-    alpha, eve, bob = deception_search(value_bob, intervals, stack_curves([value_eve]))
-    return DeceptionPlan(
-        float(alpha[0]), float(eve[0]), float(bob[0]), intervals, bool(intervals)
-    )
+    """``deception_search`` of one Bob curve and one Eve curve, as a plan."""
+    plan = deception_search(stack([value_bob]), [intervals], stack([value_eve]))
+    return DeceptionPlan(*plan[:, 0, 0].tolist(), intervals, bool(intervals))
 
 
 def test_deception_search_searches_second_interval():
@@ -200,8 +218,8 @@ def test_deception_search_searches_second_interval():
     # Eve peaks at her breakpoint 0.9, inside Bob's second interval only
     eve = PiecewiseLinear(
         (
-            LinearPiece(0.0, 0.9, 0.0, 1.0, "up"),
-            LinearPiece(0.9, 1.0, 1.8, -1.0, "down"),
+            LinearPiece(0.0, 0.9, 0.0, 1.0),
+            LinearPiece(0.9, 1.0, 1.8, -1.0),
         )
     )
     plan = search_one(TENT, intervals, eve)
@@ -223,7 +241,7 @@ def test_deception_search_without_intervals_is_nan():
 def test_deception_search_tie_takes_larger_alpha():
     # Eve's curve is flat on [0.5, 1]: the breakpoint and the right end tie
     eve = PiecewiseLinear(
-        (LinearPiece(0.0, 0.5, 0.0, 1.0, "up"), LinearPiece(0.5, 1.0, 0.5, 0.0, "flat"))
+        (LinearPiece(0.0, 0.5, 0.0, 1.0), LinearPiece(0.5, 1.0, 0.5, 0.0))
     )
     plan = search_one(TENT, ((0.0, 1.0),), eve)
     assert plan.alpha_opt == 1.0
@@ -249,7 +267,7 @@ def scalar_search(value_bob, intervals, value_eve):
 
 def curve(*pieces):
     """A piecewise-linear curve from (lo, hi, intercept, slope) pieces."""
-    return PiecewiseLinear(tuple(LinearPiece(*p, "p") for p in pieces))
+    return PiecewiseLinear(tuple(LinearPiece(*p) for p in pieces))
 
 
 SEARCH_EVES = [
@@ -273,7 +291,7 @@ SEARCH_EVES = [
 )
 def test_stacked_search_matches_one_curve_and_scalar_scan(level, intervals):
     assert sublevel_intervals(TENT, level) == intervals
-    stacked = deception_search(TENT, intervals, stack_curves(SEARCH_EVES))
+    stacked = deception_search(stack([TENT]), [intervals], stack(SEARCH_EVES))[:, 0]
     for i, eve in enumerate(SEARCH_EVES):
         plan = search_one(TENT, intervals, eve)
         one = (plan.alpha_opt, plan.eve_distortion, plan.bob_distortion)
@@ -281,10 +299,23 @@ def test_stacked_search_matches_one_curve_and_scalar_scan(level, intervals):
         assert repr(row) == repr(one) == repr(scalar_search(TENT, intervals, eve))
 
 
+def test_search_over_bob_rows_matches_each_row_alone():
+    # rows with two, one and no intervals, and curves of one to three pieces
+    bobs = [TENT, curve((0.0, 1.0, 0.0, 1.0)), TENT, SEARCH_EVES[4]]
+    levels = [0.5, 0.6, -1.0, 1.0]
+    intervals = [sublevel_intervals(b, level) for b, level in zip(bobs, levels)]
+    assert [len(found) for found in intervals] == [2, 1, 0, 1]
+    together = deception_search(stack(bobs), intervals, stack(SEARCH_EVES))
+    for i, (bob, found) in enumerate(zip(bobs, intervals)):
+        alone = deception_search(stack([bob]), [found], stack(SEARCH_EVES))[:, 0]
+        assert repr(together[:, i].tolist()) == repr(alone.tolist())
+    assert np.isnan(together[:, 2]).all() and not np.isnan(together[:, [0, 1, 3]]).any()
+
+
 def test_stacked_search_edge_cases():
     alpha, eve, _ = deception_search(
-        TENT, ((0.0, 0.25), (0.75, 1.0)), stack_curves(SEARCH_EVES[:3])
-    )
+        stack([TENT]), [((0.0, 0.25), (0.75, 1.0))], stack(SEARCH_EVES[:3])
+    )[:, 0]
     # single piece: its right end; breakpoint at an endpoint: 0.25 on the
     # right piece (1 - 0.25), not the left (0.25), which would tie with 0.75
     # and lose; a tie across the intervals: the larger alpha
