@@ -153,6 +153,13 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _error_rates(code: FblCode, snrs: np.ndarray) -> np.ndarray:
+    """FBL error rate at each SNR, one ``math`` call each: numpy's
+    transcendentals may round differently."""
+    return np.array([packet_error_rate(snr_db_to_linear(snr), code)
+                     for snr in snrs.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -175,9 +182,8 @@ def _error_table_code(args) -> FblCode:
 
 def cmd_error_table(args) -> int:
     code = _error_table_code(args)
-    rows = []
-    for snr in snr_grid(args.snr_lo, args.snr_hi, args.snr_step):
-        rows.append((snr, packet_error_rate(snr_db_to_linear(snr), code)))
+    snrs = np.array(snr_grid(args.snr_lo, args.snr_hi, args.snr_step))
+    rows = list(zip(snrs.tolist(), _error_rates(code, snrs).tolist()))
     write_csv(["snr_db", "epsilon"], [_csv_lines(rows)], args.out)
     return 0
 
@@ -185,9 +191,9 @@ def cmd_error_table(args) -> int:
 def cmd_sweep_receiver(args) -> int:
     scenario = load_scenario_file(args.scenario).scenario
     code = FblCode.from_scenario(scenario)
+    snrs = np.array(snr_grid(args.snr_lo, args.snr_hi, args.snr_step))
     rows = []
-    for snr in snr_grid(args.snr_lo, args.snr_hi, args.snr_step):
-        eps = packet_error_rate(snr_db_to_linear(snr), code)
+    for snr, eps in zip(snrs.tolist(), _error_rates(code, snrs).tolist()):
         deltas = distortion.delta_terms(scenario, eps)
         sol = strategy.optimal_receiver_strategy(
             deltas, scenario=scenario, eps_p=eps
@@ -238,13 +244,6 @@ class _Reprs(dict):
 
 #: Eve SNRs per block of curves, and cells per search pass: bounds the scratch
 _BLOCK = 1 << 15
-
-
-def _error_rates(code: FblCode, snrs: np.ndarray) -> np.ndarray:
-    """FBL error rate at each SNR, one ``math`` call each: numpy's
-    transcendentals may round differently."""
-    return np.array([packet_error_rate(snr_db_to_linear(snr), code)
-                     for snr in snrs.tolist()])
 
 
 def _eve_text(snrs: np.ndarray) -> tuple[list[str], list[str]]:
@@ -336,10 +335,9 @@ def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> Gat
         n = 100_000
         w = rng.integers(0, size, size=n, dtype=np.uint64)
         k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
-        active = np.ones(n, dtype=bool)
-        s = encrypt_batch(w, k, active, size)
+        s = encrypt_batch(w, k, size)
         violations += int((s == w).sum())
-        violations += int((decrypt_batch(s, k, active, size) != w).sum())
+        violations += int((decrypt_batch(s, k, size) != w).sum())
         if cipher.decrypt(NULL_MSG, 1) is not NULL_MSG:
             violations += 1
         detail = f"{violations} violations in {n} randomized checks (S={size})"
@@ -482,8 +480,8 @@ def run_validation(loaded: ScenarioFile) -> list[GateResult]:
     """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
     scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
     code = FblCode.from_scenario(scenario)
-    eps_bob = packet_error_rate(snr_db_to_linear(scenario.snr_bob_db), code)
-    eps_eve = packet_error_rate(snr_db_to_linear(scenario.snr_eve_db), code)
+    snrs = np.array([scenario.snr_bob_db, scenario.snr_eve_db])
+    eps_bob, eps_eve = _error_rates(code, snrs).tolist()
     eps_pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     return [

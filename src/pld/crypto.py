@@ -2,9 +2,9 @@
 
 Encryption shifts a codeword by a key drawn from {1, ..., S-1}, so an active
 key always moves the codeword (f_k(w) != w), while NULL_KEY leaves it alone.
-Batch helpers operate on uint64 arrays with an explicit (values, active-mask)
-encoding for NULL_KEY, and stay exact all the way up to S = 2**64 by doing
-modular arithmetic through native uint64 wraparound.
+The batch cipher works on uint64 arrays, where key 0 encodes NULL_KEY, and
+stays exact all the way up to S = 2**64 by doing modular arithmetic through
+native uint64 wraparound.
 """
 from __future__ import annotations
 
@@ -29,10 +29,6 @@ class ShiftCipher:
             raise ValueError(
                 f"codebook_size must be >= 2, got {self.codebook_size}"
             )
-
-    @property
-    def keyspace_size(self) -> int:
-        return self.codebook_size - 1
 
     def _check_word(self, w: int) -> None:
         if w is NULL_MSG:
@@ -64,86 +60,63 @@ class ShiftCipher:
 
 
 # ---------------------------------------------------------------------------
-# uint64 batch arithmetic
+# uint64 batch cipher
 # ---------------------------------------------------------------------------
-
-def add_mod(
-    a: np.ndarray, b: np.ndarray, modulus: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(a + b) mod modulus elementwise for uint64 arrays, a, b < modulus.
-
-    The result goes to ``out`` when given, which may be ``b`` but not ``a``.
-    """
-    total = np.add(a, b, out=out)  # wraps mod 2**64
-    if modulus == _FULL_UINT64:
-        return total
-    m = np.uint64(modulus)
-    if modulus > _HALF_UINT64:
-        # Reduce where the true sum reached the modulus: either the uint64
-        # add carried (total < a) or the in-range sum did (total >= m).
-        need = total < a
-        need |= total >= m
-        total -= need * m
-    else:
-        # a + b < 2m <= 2**64: total - m wraps above total exactly when
-        # total < m, so the smaller of the two is the residue.
-        np.minimum(total, total - m, out=total)
-    return total
-
-
-def sub_mod(
-    a: np.ndarray, b: np.ndarray, modulus: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(a - b) mod modulus elementwise for uint64 arrays, a, b < modulus.
-
-    The result goes to ``out`` when given, which may be ``a`` or ``b``.
-    """
-    if modulus == _FULL_UINT64:
-        return np.subtract(a, b, out=out)  # wraps mod 2**64
-    m = np.uint64(modulus)
-    if modulus > _HALF_UINT64:
-        borrow = a < b  # before ``out`` overwrites a or b
-        diff = np.subtract(a, b, out=out)
-        diff += borrow * m
-    else:
-        # a - b + m < 2m <= 2**64 never wraps, while a - b wraps above it
-        # exactly when a < b, so the smaller of the two is the residue.
-        diff = np.subtract(a, b, out=out)
-        np.minimum(diff, diff + m, out=diff)
-    return diff
-
 
 def encrypt_batch(
     words: np.ndarray,
     keys: np.ndarray,
-    active: np.ndarray | None,
     codebook_size: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized cipher: shift where the key is active, identity elsewhere.
+    """(words + keys) mod S elementwise for uint64 arrays below S.
 
-    ``active=None`` takes ``keys`` as already 0 in every inactive slot, the
-    encoding ``sample_keys`` returns, and skips the masking.
+    Key 0 is NULL_KEY and leaves its word alone.  The result goes to ``out``
+    when given, which may be ``keys`` but not ``words``.
     """
-    if active is not None:
-        keys = keys * active
-    return add_mod(words, keys, codebook_size, out)
+    total = np.add(words, keys, out=out)  # wraps mod 2**64
+    if codebook_size == _FULL_UINT64:
+        return total
+    m = np.uint64(codebook_size)
+    if codebook_size > _HALF_UINT64:
+        # Reduce where the true sum reached the modulus: either the uint64
+        # add carried (total < words) or the in-range sum did (total >= m).
+        need = total < words
+        need |= total >= m
+        total -= need * m
+    else:
+        # words + keys < 2m <= 2**64: total - m wraps above total exactly
+        # when total < m, so the smaller of the two is the residue.
+        np.minimum(total, total - m, out=total)
+    return total
 
 
 def decrypt_batch(
     codewords: np.ndarray,
     keys: np.ndarray,
-    active: np.ndarray | None,
     codebook_size: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized inverse cipher on delivered codewords (no erasure handling).
+    """(codewords - keys) mod S elementwise for uint64 arrays below S.
 
-    ``active`` and ``out`` work as in ``encrypt_batch``.
+    Key 0 is NULL_KEY and leaves its codeword alone; erasures are not handled
+    here.  The result goes to ``out`` when given, which may be ``codewords``
+    or ``keys``.
     """
-    if active is not None:
-        keys = keys * active
-    return sub_mod(codewords, keys, codebook_size, out)
+    if codebook_size == _FULL_UINT64:
+        return np.subtract(codewords, keys, out=out)  # wraps mod 2**64
+    m = np.uint64(codebook_size)
+    if codebook_size > _HALF_UINT64:
+        borrow = codewords < keys  # before ``out`` overwrites an input
+        diff = np.subtract(codewords, keys, out=out)
+        diff += borrow * m
+    else:
+        # codewords - keys + m < 2m <= 2**64 never wraps, while codewords -
+        # keys wraps above it exactly when codewords < keys, so the smaller
+        # of the two is the residue.
+        diff = np.subtract(codewords, keys, out=out)
+        np.minimum(diff, diff + m, out=diff)
+    return diff
 
 
 # ---------------------------------------------------------------------------

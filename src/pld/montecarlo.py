@@ -58,7 +58,8 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """One chunk's draws; a NULL_KEY slot holds key 0 with key_active False.
+    """One chunk's draws; a NULL_KEY slot holds key 0, the cipher's encoding
+    of NULL_KEY, with ``key_active`` False (it gates ``key_decoded``).
 
     ``exclusion_draw`` is uniform over [0, S-2]; ``exclusion_pick`` shifts it
     past the ciphertext.  ``ciphertext`` and ``exclusion_pick`` are computed
@@ -77,7 +78,7 @@ class TrialBatch:
 
     @cached_property
     def ciphertext(self) -> np.ndarray:
-        return crypto.encrypt_batch(self.message, self.key, None, self.codebook_size)
+        return crypto.encrypt_batch(self.message, self.key, self.codebook_size)
 
     @cached_property
     def exclusion_pick(self) -> np.ndarray:
@@ -147,7 +148,7 @@ def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int,
             - np.count_nonzero(excluded)
         )
         # perception keeps the ciphertext
-        crypto.encrypt_batch(w, k, None, cardinality, out=s)
+        crypto.encrypt_batch(w, k, cardinality, out=s)
         np.not_equal(s, w, out=wrong)
         wrong &= seen
         n_conf += np.count_nonzero(wrong)
@@ -159,7 +160,7 @@ def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int,
         n_conf += np.count_nonzero(wrong)
         # a synced receiver decrypts with the key it decoded; synced trials
         # are a subset of the active ones, so ``k`` is already that key
-        crypto.decrypt_batch(s, k, None, cardinality, out=t)
+        crypto.decrypt_batch(s, k, cardinality, out=t)
         np.not_equal(t, w, out=wrong)
         wrong &= synced
         n_conf += np.count_nonzero(wrong)
@@ -187,6 +188,8 @@ def estimate_distortion(
         raise ValueError(bad[0])
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    channels._check_eps(eps_p, "eps_p")
+    channels._check_eps(eps_s, "eps_s")
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + [rest] * (rest > 0)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))

@@ -172,6 +172,7 @@ def receiver_value_of_alpha(
     scenario: Scenario, eps_p: float, eps_s: float
 ) -> PiecewiseLinear:
     """``receiver_curves`` at one channel pair, as a piecewise-linear view."""
+    _check_eps(eps_p, "eps_p")
     _check_eps(eps_s, "eps_s")
     curves = receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))
     return PiecewiseLinear.from_row(curves[:, 0])

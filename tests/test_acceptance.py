@@ -311,11 +311,10 @@ def test_c10_cipher_identities(report):
     rng = np.random.default_rng(20250810)
     w = rng.integers(0, size, size=n, dtype=np.uint64)
     k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
-    active = np.ones(n, dtype=bool)
-    s = encrypt_batch(w, k, active, size)
+    s = encrypt_batch(w, k, size)
     bad += int((s == w).sum())
-    bad += int((decrypt_batch(s, k, active, size) != w).sum())
-    bad += int((encrypt_batch(w, k, ~active, size) != w).sum())
+    bad += int((decrypt_batch(s, k, size) != w).sum())
+    bad += int((encrypt_batch(w, np.zeros_like(k), size) != w).sum())
     checks += 3 * n
     report("C10", bad == 0,
            f"cipher identities: {bad} violations in {checks} checks "

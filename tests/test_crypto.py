@@ -3,14 +3,7 @@ import numpy as np
 import pytest
 
 from pld.core import NULL_KEY, NULL_MSG, Scenario
-from pld.crypto import (
-    ShiftCipher,
-    add_mod,
-    decrypt_batch,
-    encrypt_batch,
-    sample_keys,
-    sub_mod,
-)
+from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch, sample_keys
 
 FULL = 1 << 64
 
@@ -103,12 +96,15 @@ def test_batch_matches_scalar_cipher():
         cipher = ShiftCipher(size)
         w = rng.integers(0, size, size=200, dtype=np.uint64)
         k = rng.integers(0, size - 1, size=200, dtype=np.uint64) + np.uint64(1)
-        active = np.ones(200, dtype=bool)
-        s = encrypt_batch(w, k, active, size)
-        back = decrypt_batch(s, k, active, size)
+        k[::5] = 0  # key 0 encodes NULL_KEY
+        w[0] = size - 1
+        s = encrypt_batch(w, k, size)
+        assert np.array_equal(s[::5], w[::5])
+        back = decrypt_batch(s, k, size)
         assert np.array_equal(back, w)
         for i in range(0, 200, 37):
-            assert int(s[i]) == cipher.encrypt(int(w[i]), int(k[i]))
+            key = int(k[i]) or NULL_KEY
+            assert int(s[i]) == cipher.encrypt(int(w[i]), key)
 
 
 def test_batch_wraparound_edges():
@@ -120,16 +116,15 @@ def test_batch_wraparound_edges():
         expect = np.array(
             [(int(a) + int(b)) % size for a, b in zip(w, k)], dtype=np.uint64
         )
-        got = add_mod(w, k, size)
+        got = encrypt_batch(w, k, size)
         assert np.array_equal(got, expect)
-        back = sub_mod(got, k, size)
+        back = decrypt_batch(got, k, size)
         assert np.array_equal(back, w)
 
 
 def test_inactive_keys_pass_through():
     w = np.array([5, 6], dtype=np.uint64)
-    k = np.array([0, 3], dtype=np.uint64)
-    active = np.array([False, True])
-    s = encrypt_batch(w, k, active, 8)
+    k = np.array([0, 3], dtype=np.uint64)  # key 0 is NULL_KEY
+    s = encrypt_batch(w, k, 8)
     assert s[0] == 5 and s[1] == 1
-    assert np.array_equal(decrypt_batch(s, k, active, 8), w)
+    assert np.array_equal(decrypt_batch(s, k, 8), w)

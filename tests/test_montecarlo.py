@@ -78,6 +78,19 @@ def test_trial_count_rejected_before_any_draw(monkeypatch, trials):
         estimate_distortion(make_scenario(), 0.1, 0.1, CENTER, trials, seed=1)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.2, float("nan")])
+@pytest.mark.parametrize("label", ["eps_p", "eps_s"])
+def test_impossible_channel_rejected_before_any_draw(monkeypatch, label, bad):
+    def no_draws(*args):
+        raise AssertionError("drew a chunk")
+
+    monkeypatch.setattr(montecarlo, "simulate_batch", no_draws)
+    eps = {"eps_p": 0.1, "eps_s": 0.1, label: bad}
+    with pytest.raises(ValueError, match=label):
+        estimate_distortion(make_scenario(), eps["eps_p"], eps["eps_s"], CENTER,
+                            100, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # per-trial structure of the vectorized kernel
 # ---------------------------------------------------------------------------

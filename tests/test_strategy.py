@@ -172,6 +172,14 @@ def test_envelope_matches_pointwise_solver():
             )
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+@pytest.mark.parametrize("label", ["eps_p", "eps_s"])
+def test_envelope_rejects_impossible_channels(label, bad):
+    eps = {"eps_p": 0.1, "eps_s": 0.1, label: bad}
+    with pytest.raises(ValueError, match=label):
+        receiver_value_of_alpha(make_scenario(size=4), eps["eps_p"], eps["eps_s"])
+
+
 def test_envelope_is_concave():
     for eps_p, eps_s in ((0.1, 0.05), (0.3, 0.4), (0.0, 0.9)):
         pwl = receiver_value_of_alpha(make_scenario(size=4), eps_p, eps_s)
