@@ -32,7 +32,6 @@ from .fbl import FblCode, packet_error_rate, q_function, snr_db_to_linear
 from .montecarlo import McEstimate, estimate_distortion
 from .strategy import (
     DeceptionPlan,
-    PiecewiseLinear,
     ReceiverSolution,
     optimal_receiver_strategy,
     optimize_deception,
@@ -50,7 +49,6 @@ __all__ = [
     "McEstimate",
     "NULL_KEY",
     "NULL_MSG",
-    "PiecewiseLinear",
     "ReceiverSolution",
     "ReceiverStrategy",
     "Scenario",

@@ -265,15 +265,14 @@ def _deception_blocks(loaded: ScenarioFile, bobs: np.ndarray, bob_eps: np.ndarra
     reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
     for rows in (slice(first, first + group) for first in range(0, len(bobs), group)):
         curves = strategy.receiver_curves(loaded.scenario, bob_eps[rows], bob_eps[rows])
-        found = [strategy.sublevel_intervals(strategy.PiecewiseLinear.from_row(row),
-                                             loaded.d_max)
-                 for row in curves.transpose(1, 0, 2)]
+        spans = strategy.sublevel_intervals(curves, loaded.d_max)
         heads = [repr(snr) + "," for snr in bobs[rows].tolist()]
         for block, eve_block in enumerate(eve_curves):
             cells, infeasible = text or _eve_text(eves[block * _BLOCK:][:_BLOCK])
-            plans = strategy.deception_search(curves, found, eve_block)
-            for head, feasible, plan in zip(heads, found, plans.transpose(1, 0, 2)):
-                if not feasible:
+            plans = strategy.deception_search(curves, spans, eve_block)
+            for head, first, plan in zip(heads, spans[:, 0, 0].tolist(),
+                                         plans.transpose(1, 0, 2)):
+                if math.isnan(first):
                     yield head + ("\n" + head).join(infeasible) + "\n"
                     continue
                 yield "".join([

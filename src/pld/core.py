@@ -161,8 +161,15 @@ def scenario_violations(s: Scenario) -> list[str]:
         bad.append(f"alpha must lie in [0, 1], got {s.alpha!r}")
     bad += code_violations(s.payload_bits, s.code_rate)
     for field in ("snr_bob_db", "snr_eve_db"):
-        if not math.isfinite(getattr(s, field)):
-            bad.append(f"{field} must be finite, got {getattr(s, field)!r}")
+        snr = getattr(s, field)
+        if not math.isfinite(snr):
+            bad.append(f"{field} must be finite, got {snr!r}")
+            continue
+        try:  # the channels take the linear SNR, 10^(dB/10), as a float
+            math.pow(10.0, snr / 10.0)
+        except OverflowError:
+            bad.append(f"{field} must be at most ~3082 dB, where 10^(dB/10) "
+                       f"still fits a float, got {snr!r}")
     return bad
 
 

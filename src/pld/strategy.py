@@ -12,7 +12,6 @@ envelope breakpoints, no grid search needed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,59 +34,6 @@ class ReceiverSolution:
     strategy: ReceiverStrategy
     value: float
     active_option: str
-
-
-@dataclass(frozen=True)
-class LinearPiece:
-    """One affine segment value = intercept + slope*x on [lo, hi]."""
-
-    lo: float
-    hi: float
-    intercept: float
-    slope: float
-
-    def value_at(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function on [pieces[0].lo, pieces[-1].hi]."""
-
-    pieces: tuple[LinearPiece, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pieces:
-            raise ValueError("piecewise-linear function needs >= 1 piece")
-
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> PiecewiseLinear:
-        """View on [0, 1] of one ``(3, w)`` curve of a ``lower_envelopes`` stack."""
-        starts, intercepts, slopes = row[:, row[0] < math.inf].tolist()
-        ends = starts[1:] + [1.0]
-        return cls(tuple(map(LinearPiece, starts, ends, intercepts, slopes)))
-
-    @property
-    def lo(self) -> float:
-        return self.pieces[0].lo
-
-    @property
-    def hi(self) -> float:
-        return self.pieces[-1].hi
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior x where the active piece changes."""
-        return tuple(p.lo for p in self.pieces[1:])
-
-    def piece_at(self, x: float) -> LinearPiece:
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"x={x!r} outside domain [{self.lo}, {self.hi}]")
-        idx = bisect_right([p.lo for p in self.pieces], x) - 1
-        return self.pieces[max(idx, 0)]
-
-    def __call__(self, x: float) -> float:
-        return self.piece_at(x).value_at(x)
 
 
 def lower_envelopes(intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -170,34 +116,48 @@ def receiver_curves(
 
 def receiver_value_of_alpha(
     scenario: Scenario, eps_p: float, eps_s: float
-) -> PiecewiseLinear:
-    """``receiver_curves`` at one channel pair, as a piecewise-linear view."""
+) -> np.ndarray:
+    """``receiver_curves`` at one channel pair, as its ``(3, w)`` row."""
     _check_eps(eps_p, "eps_p")
     _check_eps(eps_s, "eps_s")
-    curves = receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))
-    return PiecewiseLinear.from_row(curves[:, 0])
+    return receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))[:, 0]
 
 
-def sublevel_intervals(
-    f: PiecewiseLinear, level: float
-) -> tuple[tuple[float, float], ...]:
-    """Closed intervals of the domain where f(x) <= level."""
-    found: list[tuple[float, float]] = []
-    for p in f.pieces:
-        v_lo, v_hi = p.value_at(p.lo), p.value_at(p.hi)
-        if v_lo <= level and v_hi <= level:
-            seg = (p.lo, p.hi)
-        elif v_lo > level and v_hi > level:
-            continue
-        else:
-            x = (level - p.intercept) / p.slope
-            x = min(max(x, p.lo), p.hi)
-            seg = (p.lo, x) if v_lo <= level else (x, p.hi)
-        if found and seg[0] <= found[-1][1]:
-            found[-1] = (found[-1][0], max(found[-1][1], seg[1]))
-        else:
-            found.append(seg)
-    return tuple(found)
+def sublevel_intervals(curves: np.ndarray, level: float) -> np.ndarray:
+    """Closed intervals of [0, 1] where each curve of a ``lower_envelopes``
+    stack is <= level, as an ``(n, w, 2)`` array of (start, end) pairs in
+    order, padded with nan.
+
+    A piece ends at the next start (1.0 for the last) and its values there
+    are ``c + m*x``; where it crosses the level, at ``(level - c)/m`` clamped
+    to the piece, only the side at or below the level counts.  A piece's
+    part joins the interval before it when it starts at or before that
+    interval's end.  Padding pieces start at +inf, so they stay above it.
+    """
+    starts, c, m = curves
+    ends = np.ones_like(starts)
+    ends[:, :-1] = np.minimum(starts[:, 1:], 1.0)
+    with np.errstate(all="ignore"):
+        low, high = c + m * starts <= level, c + m * ends <= level
+        x = (level - c) / m
+    x = np.where(starts > x, starts, x)  # min(max(x, start), end), as Python picks
+    x = np.where(ends < x, ends, x)
+    a, b, part = np.where(low, starts, x), np.where(high, ends, x), low | high
+    # each part's end is at least the ends before it, so the end of the
+    # interval before a part is the largest end so far
+    run = np.maximum.accumulate(np.where(part, b, -math.inf), axis=1)
+    before = np.column_stack((np.full(len(a), -math.inf), run))
+    # a part that starts an interval, then a stand-in after the last part
+    new = np.column_stack((part & ~(a <= before[:, :-1]),
+                           np.ones(len(a), dtype=bool)))
+    # interval j runs from the start of its first part to the end before the
+    # next interval's first part, or before the stand-in
+    order = np.argsort(~new, axis=1, kind="stable")
+    a = np.take_along_axis(np.column_stack((a, np.full(len(a), math.nan))), order, 1)
+    b = np.take_along_axis(before, order, 1)
+    found = np.stack((a[:, :-1], b[:, 1:]), axis=-1)
+    found[np.arange(starts.shape[1]) >= new.sum(axis=1, keepdims=True) - 1] = math.nan
+    return found
 
 
 def d_max_violations(d_max: float) -> list[str]:
@@ -220,10 +180,11 @@ class DeceptionPlan:
 
 
 def _values_at(curves: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x[..., i, :]`` evaluated on stacked curve i, bit for bit as ``piece_at``.
+    """``x[..., i, :]`` evaluated on stacked curve i.
 
-    The piece is the one after every breakpoint <= x (``bisect_right``), and
-    its value is ``intercept + slope*x``, the same two IEEE operations.
+    The piece is the last one whose start is <= x, so a breakpoint belongs to
+    the piece it starts (the first piece for an x before every start), and
+    its value is ``intercept + slope*x``.
     """
     starts, intercepts, slopes = curves
     piece = (starts[:, None, 1:] <= x[..., None]).sum(axis=-1)
@@ -233,28 +194,27 @@ def _values_at(curves: np.ndarray, x: np.ndarray) -> np.ndarray:
     return c + m * x
 
 
-def deception_search(bobs: np.ndarray, intervals: list, eves: np.ndarray) -> np.ndarray:
-    """Maximize every stacked Eve curve on each Bob curve's ``sublevel_intervals``.
+def deception_search(bobs: np.ndarray, spans: np.ndarray, eves: np.ndarray) -> np.ndarray:
+    """Maximize every stacked Eve curve on each Bob curve's feasible set.
 
-    ``bobs`` and ``eves`` are ``lower_envelopes`` stacks, with one tuple of
-    intervals per Bob curve.  Returns alpha_opt, eve_distortion and
-    bob_distortion as one ``(3, len(intervals), n)`` array, nan on a row
+    ``bobs`` and ``eves`` are ``lower_envelopes`` stacks, and ``spans`` is
+    the bobs' ``sublevel_intervals``.  Returns alpha_opt, eve_distortion and
+    bob_distortion as one ``(3, len(spans), n)`` array, nan on a row
     without an interval.  Only interval endpoints and Eve's breakpoints
     strictly inside an interval can be maximal; ties go to the larger alpha
     (more deception, same objective).
     """
-    out = np.full((3, len(intervals), eves.shape[1]), math.nan)
-    rows = [i for i, found in enumerate(intervals) if found]
-    if not rows:
+    out = np.full((3, len(spans), eves.shape[1]), math.nan)
+    rows = ~np.isnan(spans[:, 0, 0])
+    if not rows.any():
         return out
-    width = max(len(intervals[i]) for i in rows)
+    spans = spans[rows]
     # a row's first interval stands in for the intervals it lacks
-    spans = np.array([intervals[i] + intervals[i][:1] * (width - len(intervals[i]))
-                      for i in rows])
+    spans = np.where(np.isnan(spans), spans[:, :1], spans)
     breaks = eves[0, None, :, None, 1:]
     lo, hi = spans[:, None, :, :1], spans[:, None, :, 1:]
     inside = ((lo < breaks) & (breaks < hi)).any(axis=2)
-    ends = spans.reshape(len(rows), 1, 2 * width)
+    ends = spans.reshape(len(spans), 1, -1)
     # a breakpoint outside every interval stands in as a repeated endpoint
     x = np.concatenate((np.broadcast_to(ends, inside.shape[:2] + ends.shape[2:]),
                         np.where(inside, breaks[:, :, 0], ends[:, :, :1])), axis=2)
@@ -289,6 +249,7 @@ def optimize_deception(
         eve_channel = TransportChannel.from_snr_db(scenario.snr_eve_db, code)
     pairs = [(c.eps_primary, c.eps_secondary) for c in (bob_channel, eve_channel)]
     curves = receiver_curves(scenario, *np.transpose(pairs))
-    intervals = sublevel_intervals(PiecewiseLinear.from_row(curves[:, 0]), d_max)
-    plan = deception_search(curves[:, :1], [intervals], curves[:, 1:])[:, 0, 0]
+    spans = sublevel_intervals(curves[:, :1], d_max)
+    plan = deception_search(curves[:, :1], spans, curves[:, 1:])[:, 0, 0]
+    intervals = tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))
     return DeceptionPlan(*plan.tolist(), intervals, bool(intervals))

@@ -25,6 +25,7 @@ from pld.distortion import (
 from pld.fbl import FblCode, packet_error_rate, snr_db_to_linear
 from pld.montecarlo import estimate_distortion
 from pld.strategy import (
+    _values_at,
     optimal_receiver_strategy,
     optimize_deception,
     receiver_value_of_alpha,
@@ -62,9 +63,15 @@ def grid_cells(sizes):
                         yield size, alpha, eps_p, eps_s, strat
 
 
-def pwl_on_grid(pwl, grid):
-    xs = [pwl.lo, *pwl.breakpoints, pwl.hi]
-    return np.interp(grid, xs, [pwl(x) for x in xs])
+def curve_at(row, xs):
+    """A ``(3, w)`` curve row at each of the points xs, as the optimizer
+    evaluates it."""
+    return _values_at(row[:, None], np.asarray(xs, dtype=np.float64)[None])[0]
+
+
+def pwl_on_grid(row, grid):
+    xs = np.append(row[0][row[0] < math.inf], 1.0)
+    return np.interp(grid, xs, curve_at(row, xs))
 
 
 def bisect_boundary(pred, lo, hi, iters=80):
@@ -238,7 +245,7 @@ def test_c08_optimizer_matches_grid_search(report):
             ok = ok and bool(np.all(vb_vals > d_max - 1e-9))
             continue
         feasible_count += 1
-        ok = ok and vb(plan.alpha_opt) <= d_max + 1e-12
+        ok = ok and curve_at(vb, [plan.alpha_opt])[0] <= d_max + 1e-12
         if not np.any(feasible):
             continue  # feasible set thinner than the grid step
         best_idx = int(np.argmax(np.where(feasible, ve_vals, -np.inf)))

@@ -558,6 +558,17 @@ def test_validate_bad_overrides(tmp_path, capsys):
     assert err.startswith("error:") and "d_loss" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "optimize-alpha", "sweep-receiver"])
+def test_snr_whose_linear_value_overflows_is_rejected_on_load(tmp_path, capsys, command):
+    path = write_doc(tmp_path, dict(BASE_DOC, snr_bob_db=1e308), "overflow.json")
+    argv = [command, "--scenario", path, "--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflow.json" in err and "snr_bob_db" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # top-level parsing
 # ---------------------------------------------------------------------------

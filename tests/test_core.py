@@ -70,15 +70,22 @@ def test_validate_accepts_reference_parameters():
         (lambda: make_scenario(d_loss=10.0, d_conf=1.0), "d_conf"),
         (lambda: make_scenario(codebook_size=1), "codebook_size"),
         (lambda: make_scenario(codebook_size=(1 << 64) + 1), "codebook_size"),
+        (lambda: make_scenario(snr_bob_db=1e308), "snr_bob_db"),
+        (lambda: make_scenario(snr_eve_db=3083.0), "snr_eve_db"),
     ],
     ids=["alpha-out-of-range", "replace-alpha-out-of-range",
          "non-integer-blocklength", "bad-distortion-ordering", "codebook-size-1",
-         "codebook-size-above-2^64"],
+         "codebook-size-above-2^64", "snr-bob-overflows", "snr-eve-overflows"],
 )
 def test_validate_rejects_bad_parameters(build, field):
     with pytest.raises(ScenarioError, match=field) as err:
         build()
     assert len(err.value.violations) == 1
+
+
+def test_largest_snr_whose_linear_value_fits_a_float_is_kept():
+    sc = make_scenario(snr_bob_db=3082.0, snr_eve_db=3082.0)
+    assert (sc.snr_bob_db, sc.snr_eve_db) == (3082.0, 3082.0)
 
 
 def test_validate_collects_every_violation():

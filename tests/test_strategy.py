@@ -12,8 +12,7 @@ from pld.fbl import FblCode
 from pld.strategy import (
     OPTION_LABELS,
     DeceptionPlan,
-    LinearPiece,
-    PiecewiseLinear,
+    _values_at,
     deception_search,
     lower_envelopes,
     optimal_receiver_strategy,
@@ -31,8 +30,16 @@ def value_curve(scenario, snr_db):
     """The (envelope, channel) pair the optimizer sees for one party."""
     code = FblCode.from_scenario(scenario)
     channel = TransportChannel.from_snr_db(snr_db, code)
-    pwl = receiver_value_of_alpha(scenario, channel.eps_primary, channel.eps_secondary)
-    return pwl, channel
+    row = receiver_value_of_alpha(scenario, channel.eps_primary, channel.eps_secondary)
+    return row, channel
+
+
+def value_at(curve, x):
+    """A curve (a ``(3, w)`` row or one-curve stack) at x, in Python floats: the
+    last piece that starts at or before x, and its intercept + slope*x."""
+    starts, intercepts, slopes = np.reshape(curve, (3, -1)).tolist()
+    k = max([0] + [i for i, start in enumerate(starts) if start <= x])
+    return intercepts[k] + slopes[k] * x
 
 
 # ---------------------------------------------------------------------------
@@ -102,56 +109,72 @@ def test_strategy_choice_scale_invariant():
 # piecewise-linear machinery
 # ---------------------------------------------------------------------------
 
-def lower_envelope(*lines):
-    """The envelope on [0, 1] of (intercept, slope) lines, as a one-curve view."""
-    intercepts, slopes = np.array(lines).T[:, :, None]
-    return PiecewiseLinear.from_row(lower_envelopes(intercepts, slopes)[:, 0])
-
-
-def lines_of(pwl):
-    return [(p.intercept, p.slope) for p in pwl.pieces]
+def curve(*pieces):
+    """A one-curve stack from (start, intercept, slope) pieces."""
+    return np.array(pieces, dtype=np.float64).T[:, None]
 
 
 def stack(curves):
     """Curves as one ``(3, n, w)`` stack, padded with pieces that start at +inf."""
-    width = max(len(c.pieces) for c in curves)
-    rows = [[(p.lo, p.intercept, p.slope) for p in c.pieces]
-            + [(math.inf,) * 3] * (width - len(c.pieces)) for c in curves]
-    return np.array(rows, dtype=np.float64).transpose(2, 0, 1)
+    out = np.full((3, len(curves), max(c.shape[-1] for c in curves)), math.inf)
+    for i, c in enumerate(curves):
+        out[:, i, :c.shape[-1]] = c[:, 0]
+    return out
+
+
+def lower_envelope(*lines):
+    """The envelope on [0, 1] of (intercept, slope) lines, as a one-curve stack."""
+    intercepts, slopes = np.array(lines).T[:, :, None]
+    return lower_envelopes(intercepts, slopes)
+
+
+def pieces_of(curve):
+    """A curve's (start, intercept, slope) pieces, without the padding."""
+    row = np.reshape(curve, (3, -1))
+    return [tuple(p) for p in row[:, row[0] < math.inf].T.tolist()]
+
+
+def lines_of(curve):
+    return [(c, m) for _, c, m in pieces_of(curve)]
+
+
+def breakpoints(curve):
+    return [start for start, _, _ in pieces_of(curve)[1:]]
+
+
+def intervals_of(spans):
+    """The intervals of a one-row ``sublevel_intervals`` result, as tuples."""
+    return tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))
 
 
 def test_lower_envelope_of_crossing_lines():
-    pwl = lower_envelope((1.0, -1.0), (0.0, 1.0))
-    assert lines_of(pwl) == [(0.0, 1.0), (1.0, -1.0)]
-    assert pwl.breakpoints == pytest.approx([0.5])
-    assert pwl(0.25) == pytest.approx(0.25)
-    assert pwl(0.75) == pytest.approx(0.25)
+    env = lower_envelope((1.0, -1.0), (0.0, 1.0))
+    assert lines_of(env) == [(0.0, 1.0), (1.0, -1.0)]
+    assert breakpoints(env) == pytest.approx([0.5])
+    assert value_at(env, 0.25) == pytest.approx(0.25)
+    assert value_at(env, 0.75) == pytest.approx(0.25)
 
 
 def test_lower_envelope_drops_dominated_line():
-    pwl = lower_envelope((0.0, 0.5), (2.0, 0.0), (0.6, -0.5))
-    assert lines_of(pwl) == [(0.0, 0.5), (0.6, -0.5)]
+    env = lower_envelope((0.0, 0.5), (2.0, 0.0), (0.6, -0.5))
+    assert lines_of(env) == [(0.0, 0.5), (0.6, -0.5)]
 
 
 def test_piece_lookup_and_domain():
-    pwl = lower_envelope((0.0, 1.0))
-    assert pwl.piece_at(0.5) == LinearPiece(0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        pwl(1.5)
-    with pytest.raises(ValueError):
-        pwl.piece_at(-0.1)
+    env = lower_envelope((0.0, 1.0))
+    assert pieces_of(env) == [(0.0, 0.0, 1.0)]
+    assert _values_at(env, np.array([[0.5]])).tolist() == [[0.5]]
 
 
-TENT = PiecewiseLinear(
-    (LinearPiece(0.0, 0.5, 0.0, 2.0), LinearPiece(0.5, 1.0, 2.0, -2.0))
-)
+TENT = curve((0.0, 0.0, 2.0), (0.5, 2.0, -2.0))
 
 
 def test_sublevel_intervals_of_tent():
-    assert sublevel_intervals(TENT, 0.5) == ((0.0, 0.25), (0.75, 1.0))
-    assert sublevel_intervals(TENT, 1.5) == ((0.0, 1.0),)
-    assert sublevel_intervals(TENT, 0.0) == ((0.0, 0.0), (1.0, 1.0))
-    assert sublevel_intervals(TENT, -1.0) == ()
+    assert intervals_of(sublevel_intervals(TENT, 0.5)) == ((0.0, 0.25), (0.75, 1.0))
+    assert intervals_of(sublevel_intervals(TENT, 1.5)) == ((0.0, 1.0),)
+    assert intervals_of(sublevel_intervals(TENT, 0.0)) == ((0.0, 0.0), (1.0, 1.0))
+    assert intervals_of(sublevel_intervals(TENT, -1.0)) == ()
+    assert sublevel_intervals(TENT, 1.5).shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +184,13 @@ def test_sublevel_intervals_of_tent():
 def test_envelope_matches_pointwise_solver():
     for size in (2, 4, 1 << 64):
         sc = make_scenario(size=size)
-        pwl = receiver_value_of_alpha(sc, 0.1, 0.05)
+        row = receiver_value_of_alpha(sc, 0.1, 0.05)
         for alpha in np.linspace(0.0, 1.0, 2001):
             sc_a = dataclasses.replace(sc, alpha=float(alpha))
             direct = optimal_receiver_strategy(
                 delta_terms(sc_a, 0.05), scenario=sc_a, eps_p=0.1
             )
-            assert abs(pwl(float(alpha)) - direct.value) <= 1e-9 * max(
+            assert abs(value_at(row, float(alpha)) - direct.value) <= 1e-9 * max(
                 1.0, abs(direct.value)
             )
 
@@ -182,64 +205,60 @@ def test_envelope_rejects_impossible_channels(label, bad):
 
 def test_envelope_is_concave():
     for eps_p, eps_s in ((0.1, 0.05), (0.3, 0.4), (0.0, 0.9)):
-        pwl = receiver_value_of_alpha(make_scenario(size=4), eps_p, eps_s)
-        slopes = [p.slope for p in pwl.pieces]
+        row = receiver_value_of_alpha(make_scenario(size=4), eps_p, eps_s)
+        slopes = [m for _, m in lines_of(row)]
         assert all(b <= a + 1e-12 for a, b in zip(slopes, slopes[1:]))
 
 
 def test_envelope_structure():
     sc = make_scenario(size=2)
-    pwl = receiver_value_of_alpha(sc, 0.1, 0.05)
+    row = receiver_value_of_alpha(sc, 0.1, 0.05)
     at0, at1 = (delta_terms(dataclasses.replace(sc, alpha=a), 0.05).as_tuple()
                 for a in (0.0, 1.0))
     options = dict(zip([(0.1 * 1.0 + 0.9 * c0, 0.9 * (c1 - c0))
                         for c0, c1 in zip(at0, at1)], OPTION_LABELS))
-    assert pwl.lo == 0.0 and pwl.hi == 1.0
-    assert len(pwl.breakpoints) <= 2
-    labels = [options[line] for line in lines_of(pwl)]
+    pieces = pieces_of(row)
+    assert pieces[0][0] == 0.0 and all(0.0 < x < 1.0 for x in breakpoints(row))
+    assert len(pieces) <= 3
+    labels = [options[line] for line in lines_of(row)]
     assert labels[0] == "perception"
     assert labels[-1] == "exclusion"
-    for left, right in zip(pwl.pieces, pwl.pieces[1:]):
-        assert left.hi == right.lo
-        assert left.value_at(left.hi) == pytest.approx(right.value_at(right.lo))
+    for (_, c0, m0), (x, c1, m1) in zip(pieces, pieces[1:]):
+        assert c0 + m0 * x == pytest.approx(c1 + m1 * x)
 
 
 def test_envelope_floor_at_zero_deception():
     # without deception the best option costs exactly the erasure floor
-    pwl = receiver_value_of_alpha(make_scenario(size=8), 0.25, 0.3)
-    assert pwl(0.0) == 0.25 * 1.0
+    row = receiver_value_of_alpha(make_scenario(size=8), 0.25, 0.3)
+    assert value_at(row, 0.0) == 0.25 * 1.0
 
 
 # ---------------------------------------------------------------------------
 # transmitter optimization
 # ---------------------------------------------------------------------------
 
-def search_one(value_bob, intervals, value_eve):
+def search_one(value_bob, spans, value_eve):
     """``deception_search`` of one Bob curve and one Eve curve, as a plan."""
-    plan = deception_search(stack([value_bob]), [intervals], stack([value_eve]))
+    plan = deception_search(value_bob, spans, value_eve)
+    intervals = intervals_of(spans)
     return DeceptionPlan(*plan[:, 0, 0].tolist(), intervals, bool(intervals))
 
 
 def test_deception_search_searches_second_interval():
-    intervals = sublevel_intervals(TENT, 0.5)
-    assert intervals == ((0.0, 0.25), (0.75, 1.0))
+    spans = sublevel_intervals(TENT, 0.5)
+    assert intervals_of(spans) == ((0.0, 0.25), (0.75, 1.0))
     # Eve peaks at her breakpoint 0.9, inside Bob's second interval only
-    eve = PiecewiseLinear(
-        (
-            LinearPiece(0.0, 0.9, 0.0, 1.0),
-            LinearPiece(0.9, 1.0, 1.8, -1.0),
-        )
-    )
-    plan = search_one(TENT, intervals, eve)
+    eve = curve((0.0, 0.0, 1.0), (0.9, 1.8, -1.0))
+    plan = search_one(TENT, spans, eve)
     assert plan.feasible
-    assert plan.feasible_intervals == intervals
+    assert plan.feasible_intervals == intervals_of(spans)
     assert plan.alpha_opt == 0.9
     assert plan.eve_distortion == 0.9
-    assert plan.bob_distortion == TENT(0.9)
+    assert plan.bob_distortion == value_at(TENT, 0.9)
 
 
 def test_deception_search_without_intervals_is_nan():
-    plan = search_one(TENT, (), TENT)
+    plan = search_one(TENT, sublevel_intervals(TENT, -1.0), TENT)
     assert not plan.feasible
     assert plan.feasible_intervals == ()
     assert all(math.isnan(v) for v in
@@ -248,10 +267,8 @@ def test_deception_search_without_intervals_is_nan():
 
 def test_deception_search_tie_takes_larger_alpha():
     # Eve's curve is flat on [0.5, 1]: the breakpoint and the right end tie
-    eve = PiecewiseLinear(
-        (LinearPiece(0.0, 0.5, 0.0, 1.0), LinearPiece(0.5, 1.0, 0.5, 0.0))
-    )
-    plan = search_one(TENT, ((0.0, 1.0),), eve)
+    eve = curve((0.0, 0.0, 1.0), (0.5, 0.5, 0.0))
+    plan = search_one(TENT, np.array([[(0.0, 1.0)]]), eve)
     assert plan.alpha_opt == 1.0
     assert plan.eve_distortion == 0.5
     assert plan.bob_distortion == 0.0
@@ -264,30 +281,34 @@ def scalar_search(value_bob, intervals, value_eve):
     candidates = set()
     for lo, hi in intervals:
         candidates.update((lo, hi))
-        candidates.update(x for x in value_eve.breakpoints if lo < x < hi)
+        candidates.update(x for x in breakpoints(value_eve) if lo < x < hi)
     best_alpha, best_value = None, -math.inf
     for alpha in sorted(candidates):
-        value = value_eve(alpha)
+        value = value_at(value_eve, alpha)
         if value >= best_value:
             best_alpha, best_value = alpha, value
-    return best_alpha, best_value, value_bob(best_alpha)
-
-
-def curve(*pieces):
-    """A piecewise-linear curve from (lo, hi, intercept, slope) pieces."""
-    return PiecewiseLinear(tuple(LinearPiece(*p) for p in pieces))
+    return best_alpha, best_value, value_at(value_bob, best_alpha)
 
 
 SEARCH_EVES = [
-    curve((0.0, 1.0, 0.2, 0.5)),  # one piece: padded in the stack
+    curve((0.0, 0.2, 0.5)),  # one piece: padded in the stack
     # jumps at 0.25, an endpoint of Bob's tent intervals: the right piece counts
-    curve((0.0, 0.25, 0.0, 1.0), (0.25, 1.0, 1.0, -1.0)),
+    curve((0.0, 0.0, 1.0), (0.25, 1.0, -1.0)),
     # equal at 0.25 and 0.75, one in each tent interval: 0.75 wins
-    curve((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, -1.0)),
-    curve((0.0, 0.9, 0.0, 1.0), (0.9, 1.0, 1.8, -1.0)),
-    curve((0.0, 0.1, 0.0, 3.0), (0.1, 0.8, 0.2, 1.0), (0.8, 1.0, 1.8, -1.0)),
-    curve((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.5, 0.0)),  # flat: ties to alpha 1
+    curve((0.0, 0.0, 1.0), (0.5, 1.0, -1.0)),
+    curve((0.0, 0.0, 1.0), (0.9, 1.8, -1.0)),
+    curve((0.0, 0.0, 3.0), (0.1, 0.2, 1.0), (0.8, 1.8, -1.0)),
+    curve((0.0, 0.0, 1.0), (0.5, 0.5, 0.0)),  # flat: ties to alpha 1
 ]
+
+
+def test_values_at_matches_scalar_lookup():
+    # a breakpoint belongs to the piece it starts; x < 0 takes the first piece
+    curves = stack([TENT, *SEARCH_EVES])
+    xs = np.array([-0.5, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.8, 0.9, 0.95, 1.0])
+    got = _values_at(curves, np.broadcast_to(xs, (len(curves[0]), len(xs))))
+    expected = [[value_at(c, x) for x in xs.tolist()] for c in [TENT, *SEARCH_EVES]]
+    assert repr(got.tolist()) == repr(expected)
 
 
 @pytest.mark.parametrize(
@@ -298,10 +319,11 @@ SEARCH_EVES = [
      (-1.0, ())],  # no interval: the nan plan
 )
 def test_stacked_search_matches_one_curve_and_scalar_scan(level, intervals):
-    assert sublevel_intervals(TENT, level) == intervals
-    stacked = deception_search(stack([TENT]), [intervals], stack(SEARCH_EVES))[:, 0]
+    spans = sublevel_intervals(TENT, level)
+    assert intervals_of(spans) == intervals
+    stacked = deception_search(TENT, spans, stack(SEARCH_EVES))[:, 0]
     for i, eve in enumerate(SEARCH_EVES):
-        plan = search_one(TENT, intervals, eve)
+        plan = search_one(TENT, spans, eve)
         one = (plan.alpha_opt, plan.eve_distortion, plan.bob_distortion)
         row = tuple(float(v[i]) for v in stacked)
         assert repr(row) == repr(one) == repr(scalar_search(TENT, intervals, eve))
@@ -309,20 +331,23 @@ def test_stacked_search_matches_one_curve_and_scalar_scan(level, intervals):
 
 def test_search_over_bob_rows_matches_each_row_alone():
     # rows with two, one and no intervals, and curves of one to three pieces
-    bobs = [TENT, curve((0.0, 1.0, 0.0, 1.0)), TENT, SEARCH_EVES[4]]
+    bobs = [TENT, curve((0.0, 0.0, 1.0)), TENT, SEARCH_EVES[4]]
     levels = [0.5, 0.6, -1.0, 1.0]
-    intervals = [sublevel_intervals(b, level) for b, level in zip(bobs, levels)]
-    assert [len(found) for found in intervals] == [2, 1, 0, 1]
-    together = deception_search(stack(bobs), intervals, stack(SEARCH_EVES))
-    for i, (bob, found) in enumerate(zip(bobs, intervals)):
-        alone = deception_search(stack([bob]), [found], stack(SEARCH_EVES))[:, 0]
+    spans = np.full((len(bobs), 3, 2), math.nan)
+    for i, (bob, level) in enumerate(zip(bobs, levels)):
+        found = sublevel_intervals(bob, level)[0]
+        spans[i, :len(found)] = found
+    assert (~np.isnan(spans[:, :, 0])).sum(axis=1).tolist() == [2, 1, 0, 1]
+    together = deception_search(stack(bobs), spans, stack(SEARCH_EVES))
+    for i, bob in enumerate(bobs):
+        alone = deception_search(bob, spans[i:i + 1], stack(SEARCH_EVES))[:, 0]
         assert repr(together[:, i].tolist()) == repr(alone.tolist())
     assert np.isnan(together[:, 2]).all() and not np.isnan(together[:, [0, 1, 3]]).any()
 
 
 def test_stacked_search_edge_cases():
     alpha, eve, _ = deception_search(
-        stack([TENT]), [((0.0, 0.25), (0.75, 1.0))], stack(SEARCH_EVES[:3])
+        TENT, np.array([[(0.0, 0.25), (0.75, 1.0)]]), stack(SEARCH_EVES[:3])
     )[:, 0]
     # single piece: its right end; breakpoint at an endpoint: 0.25 on the
     # right piece (1 - 0.25), not the left (0.25), which would tie with 0.75
@@ -345,7 +370,7 @@ def test_optimizer_respects_bob_constraint():
     plan = optimize_deception(sc, 0.01)
     vb, _ = value_curve(sc, 4.0)
     assert plan.feasible
-    assert vb(plan.alpha_opt) <= 0.01 + 1e-12
+    assert value_at(vb, plan.alpha_opt) <= 0.01 + 1e-12
 
 
 def test_optimizer_reports_infeasible():
@@ -399,13 +424,15 @@ def test_optimizer_agrees_with_dense_grid():
         plan = optimize_deception(sc, d_max)
         vb, _ = value_curve(sc, sc.snr_bob_db)
         ve, _ = value_curve(sc, sc.snr_eve_db)
-        feasible = [a for a in grid if vb(float(a)) <= d_max]
+        feasible = [a for a in grid if value_at(vb, float(a)) <= d_max]
         if not plan.feasible:
             assert not feasible
             continue
-        assert vb(plan.alpha_opt) <= d_max + 1e-12
-        assert plan.bob_distortion == pytest.approx(vb(plan.alpha_opt), rel=1e-12)
-        assert plan.eve_distortion == pytest.approx(ve(plan.alpha_opt), rel=1e-12)
+        assert value_at(vb, plan.alpha_opt) <= d_max + 1e-12
+        assert plan.bob_distortion == pytest.approx(value_at(vb, plan.alpha_opt),
+                                                    rel=1e-12)
+        assert plan.eve_distortion == pytest.approx(value_at(ve, plan.alpha_opt),
+                                                    rel=1e-12)
         if feasible:
-            best_grid = max(ve(float(a)) for a in feasible)
+            best_grid = max(value_at(ve, float(a)) for a in feasible)
             assert plan.eve_distortion >= best_grid - 1e-9
