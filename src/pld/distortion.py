@@ -9,8 +9,9 @@ recomputes the opportunistic distortion by brute-force summation over every
 (key, meaning, delivery, key-decode, estimate) combination, sharing nothing
 with the closed forms, so the two can police each other in tests.  It makes
 one O(S^2) pass per call, shared by every channel pair and strategy asked
-about: every key's cipher runs, and its arithmetic is reused when its masks
-and key-channel probabilities repeat the previous key's.
+about: every key's cipher runs, a block of keys at a time on narrow
+integers, and its arithmetic is reused when its masks and key-channel
+probabilities repeat the previous key's.
 """
 from __future__ import annotations
 
@@ -176,13 +177,17 @@ def opportunistic_distortion(
 # enumeration oracle
 # ---------------------------------------------------------------------------
 
+#: Keys whose cipher and masks the oracle computes as one 2-D pass.
+KEY_BLOCK = 64
+
+
 def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Literal per-meaning sums of d(w, w_hat) over all valid estimates w_hat."""
     size = scenario.codebook_size
     rowsum = np.zeros(size)
     chunk = 512
     for lo in range(0, size, chunk):
-        w_hat = np.arange(lo, min(lo + chunk, size))
+        w_hat = np.arange(lo, min(lo + chunk, size), dtype=words.dtype)
         rowsum += np.where(
             words[:, None] == w_hat[None, :], 0.0, scenario.d_conf
         ).sum(axis=1)
@@ -211,8 +216,15 @@ def enumeration_oracle(
     directly — no delta-term algebra.  One O(S^2) pass per call, shared by
     every (eps_p, eps_s) pair and strategy; each total keeps its own
     expression and accumulator, so it does not depend on the others.
-    Every key's cipher runs; its terms are reused when its two masks and
-    key-channel pmfs repeat the previous key's bit for bit.
+
+    Every key's cipher runs, as the definition s = (w + k) mod S and its
+    inverse w = (s - k) mod S, with each residue in its floor-division form
+    x - S*(x // S), right for a negative s - k too.  The integers are the
+    narrowest signed dtype holding -(S-1) .. 2(S-1),
+    ``np.min_scalar_type(-2 * S)``: int16 at the cap.  ``KEY_BLOCK`` keys
+    run as one 2-D pass, one row a key.  A key's terms are reused when its
+    two masks and key-channel pmfs repeat the previous key's bit for bit,
+    and they join the totals one key at a time, in key order.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses oversized codebooks and bad pairs before the pass.
     """
@@ -230,7 +242,7 @@ def enumeration_oracle(
 
     d_loss, d_conf = scenario.d_loss, scenario.d_conf
 
-    words = np.arange(size)
+    words = np.arange(size, dtype=np.min_scalar_type(-2 * size))
     rowsum = _distance_rows(words, scenario)
     # The channels treat all valid symbols alike, so representative symbols
     # pin the branch probabilities.
@@ -251,23 +263,34 @@ def enumeration_oracle(
         row += (1.0 - scenario.alpha) * block.mean(axis=1)
 
     key_weight = scenario.alpha / (size - 1)
-    terms, last = np.empty_like(totals), b""
-    for k in range(1, size):
-        ciphertexts = (words + k) % size
-        seen, decoded = ciphertexts == words, (ciphertexts - k) % size == words
-        pmfs = [(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
-                for *_, eps_s in branches]
-        signature = seen.tobytes() + decoded.tobytes() + np.array(pmfs).tobytes()
-        if signature != last:
-            last = signature
-            d_decoded = np.where(decoded, 0.0, d_conf)
-            mix = _no_key_mixes(seen, rowsum, weights, d_conf)
-            for i, (p_decoded, p_lost) in enumerate(pmfs):
-                deliver, erasure, _ = branches[i]
-                np.multiply(p_lost, mix, out=block)
-                block += p_decoded * d_decoded
-                block *= deliver
-                block += erasure
-                np.multiply(key_weight, block.mean(axis=1), out=terms[i])
-        totals += terms
+    terms, last = np.empty_like(totals), None
+    for lo in range(1, size, KEY_BLOCK):
+        keys = range(lo, min(lo + KEY_BLOCK, size))
+        shift = np.array(keys, dtype=words.dtype)[:, None]
+        ciphertexts = words + shift
+        ciphertexts -= size * (ciphertexts // size)
+        decrypted = ciphertexts - shift
+        decrypted -= size * (decrypted // size)
+        seen, decoded = ciphertexts == words, decrypted == words
+        pmfs = [[(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
+                 for *_, eps_s in branches] for k in keys]
+        # one row a key: its two masks, then the bits of its pmfs
+        pmf_bits = np.array(pmfs).reshape(len(keys), -1).view(np.uint8)
+        rows = np.hstack((seen, decoded, pmf_bits))
+        changed = np.empty(len(keys), dtype=bool)
+        changed[0] = last is None or (rows[0] != last).any()
+        (rows[1:] != rows[:-1]).any(axis=1, out=changed[1:])
+        last = rows[-1]
+        for i, key_pmfs in enumerate(pmfs):
+            if changed[i]:
+                d_decoded = np.where(decoded[i], 0.0, d_conf)
+                mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
+                for j, (p_decoded, p_lost) in enumerate(key_pmfs):
+                    deliver, erasure, _ = branches[j]
+                    np.multiply(p_lost, mix, out=block)
+                    block += p_decoded * d_decoded
+                    block *= deliver
+                    block += erasure
+                    np.multiply(key_weight, block.mean(axis=1), out=terms[j])
+            totals += terms
     return totals

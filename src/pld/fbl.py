@@ -79,9 +79,13 @@ def packet_error_rate(snr_linear: float, code: FblCode) -> float:
     carry C(g)/2 bits with dispersion V(g)/2, no higher-order correction.
     At the SNR where the code rate k/n equals C(g)/2 the argument is zero
     and eps is exactly 1/2.  The result is clamped away from 0 and 1.
+    Below about -159.5 dB, 1 + g rounds to 1 and the dispersion is 0; the
+    argument's limit is then -inf, so eps is its limit 1, clamped.
     """
     n = code.blocklength_n
     capacity_bits = 0.5 * n * shannon_capacity(snr_linear)
     dispersion = 0.5 * n * channel_dispersion(snr_linear)
+    if dispersion == 0.0:
+        return EPS_CEIL
     eps = q_function((capacity_bits - code.info_bits_k) / math.sqrt(dispersion))
     return min(max(eps, EPS_FLOOR), EPS_CEIL)

@@ -13,6 +13,7 @@ import pld.distortion
 from pld.cli import ScenarioFile, _fmt, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
+from pld.fbl import EPS_CEIL
 from pld.montecarlo import MAX_TRIALS
 from pld.strategy import optimize_deception
 
@@ -492,6 +493,29 @@ def test_optimize_alpha_snr_overflow(tmp_path, capsys, axis):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "3990" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+LOW_SNR = {
+    "error-table": ["--snr-lo", "-200", "--snr-hi", "-199", "--snr-step", "1"],
+    "optimize-alpha": ["--scenario", SMALL_SCENARIO,
+                       "--bob-snr-lo", "-200", "--bob-snr-hi", "-199",
+                       "--bob-snr-step", "1", "--eve-snr-lo", "-200",
+                       "--eve-snr-hi", "-199", "--eve-snr-step", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ["error-table", "optimize-alpha", "validate"])
+def test_snr_below_the_dispersion_floor_runs(tmp_path, capsys, command):
+    # below about -159.5 dB the channel dispersion is 0; eps is then EPS_CEIL
+    if command == "validate":
+        doc = dict(BASE_DOC, snr_bob_db=-200.0, mc_trials=20000)
+        assert main([command, "--scenario", write_doc(tmp_path, doc)]) in (0, 1)
+    else:
+        assert main([command, *LOW_SNR[command]]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "error-table":
+        assert out.splitlines()[1:] == [f"-200.0,{EPS_CEIL!r}", f"-199.0,{EPS_CEIL!r}"]
 
 
 # ---------------------------------------------------------------------------

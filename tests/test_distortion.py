@@ -441,20 +441,28 @@ def _key_channel_patch(monkeypatch, eps_of_key):
 # eps_s / 2, then a change below float32 resolution: pmfs compare exactly
 @pytest.mark.parametrize("factor", [0.5, 1.0 + 2.0**-30])
 def test_oracle_sees_a_change_to_one_keys_channel(monkeypatch, factor):
-    sc = make_scenario(size=16, alpha=0.7, d_loss=1.3, d_conf=5.0)
     pairs = [(0.1, 0.2), (0.5, 0.5)]
-    plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
-    moved = enumeration_oracle(sc, [(0.5, 0.5 * factor)], PINNED_STRATEGIES)[0]
-    # only key 2 of the second pair sees eps_s * factor
-    _key_channel_patch(
-        monkeypatch,
-        lambda k, eps_s: eps_s * factor if (k, eps_s) == (2, 0.5) else eps_s,
-    )
-    patched = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
-    assert [repr(float(x)) for x in patched[0]] == [repr(float(x)) for x in plain[0]]
-    assert all(patched[1] != plain[1])
-    # key 2 carries 1/(S-1) of the active mass; the inactive term has no key
-    assert patched[1] == pytest.approx(plain[1] + (moved - plain[1]) / 15, rel=1e-12)
+    # a key inside the first block of keys, the first key of a later block,
+    # and the last key, in a short block
+    for size, key in [(16, 2), (ENUMERATION_CAP, 1 + 3 * distortion.KEY_BLOCK),
+                      (ENUMERATION_CAP, ENUMERATION_CAP - 1)]:
+        sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
+        plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+        moved = enumeration_oracle(sc, [(0.5, 0.5 * factor)], PINNED_STRATEGIES)[0]
+        # only this key of the second pair sees eps_s * factor
+        with monkeypatch.context() as patch:
+            _key_channel_patch(
+                patch,
+                lambda k, eps_s: eps_s * factor if (k, eps_s) == (key, 0.5) else eps_s,
+            )
+            patched = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+        assert [repr(float(x)) for x in patched[0]] == [
+            repr(float(x)) for x in plain[0]
+        ]
+        assert all(patched[1] != plain[1])
+        # the key carries 1/(S-1) of the active mass; the inactive term has no key
+        share = (moved - plain[1]) / (size - 1)
+        assert patched[1] == pytest.approx(plain[1] + share, rel=1e-12)
 
 
 def test_oracle_with_every_keys_channel_changed_is_that_channel(monkeypatch):

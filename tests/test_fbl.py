@@ -143,3 +143,14 @@ def test_error_rate_clamped_into_open_interval():
     assert packet_error_rate(1e12, CODE) == EPS_FLOOR
     assert packet_error_rate(1e-12, CODE) == EPS_CEIL
     assert EPS_CEIL < 1.0
+
+
+@pytest.mark.parametrize("code", [CODE, FblCode(10**9, 1)])
+def test_error_rate_is_its_limit_where_the_dispersion_vanishes(code):
+    # below about -159.5 dB, 1 + g rounds to 1: no capacity and no dispersion
+    assert channel_dispersion(snr_db_to_linear(-160.0)) == 0.0
+    assert packet_error_rate(snr_db_to_linear(-200.0), code) == EPS_CEIL
+    # continuous in value from -159 dB, where the dispersion is positive
+    grid = [snr_db_to_linear(-159.0 - 0.01 * i) for i in range(101)]
+    assert channel_dispersion(grid[0]) > 0.0
+    assert {packet_error_rate(g, code) for g in grid} == {EPS_CEIL}
