@@ -11,7 +11,6 @@ from .channels import TransportChannel
 from .core import (
     NULL_KEY,
     NULL_MSG,
-    DistortionModel,
     Scenario,
     ScenarioError,
     distance,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DeceptionPlan",
     "DeltaTerms",
-    "DistortionModel",
     "DistortionReport",
     "FblCode",
     "McEstimate",

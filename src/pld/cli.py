@@ -22,7 +22,6 @@ import numpy as np
 from . import distortion, montecarlo, strategy
 from .channels import primary_pmf, secondary_pmf
 from .core import (
-    ENUMERATION_CAP,
     NULL_KEY,
     NULL_MSG,
     Scenario,
@@ -311,55 +310,48 @@ class GateResult:
 
 def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> GateResult:
     size = scenario.codebook_size
-    cipher = ShiftCipher(size)
-    violations = 0
-    if size <= 256:
-        checks = 0
-        for w in range(size):
-            if cipher.encrypt(w, NULL_KEY) != w:
-                violations += 1
-            if cipher.decrypt(w, NULL_KEY) != w:
-                violations += 1
-            checks += 2
-            for k in range(1, size):
-                s = cipher.encrypt(w, k)
-                if s == w or cipher.decrypt(s, k) != w:
-                    violations += 1
-                checks += 1
-        if cipher.decrypt(NULL_MSG, NULL_KEY) is not NULL_MSG:
-            violations += 1
-        checks += 1
-        detail = f"{violations} violations in {checks} exhaustive checks (S={size})"
+    if size <= 256:  # every (word, key) pair, key 0 standing for NULL_KEY
+        w, k = np.divmod(np.arange(size * size, dtype=np.uint64), np.uint64(size))
+        kind, checks = "exhaustive", size * size + size + 1
     else:
         n = 100_000
         w = rng.integers(0, size, size=n, dtype=np.uint64)
         k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
-        s = encrypt_batch(w, k, size)
-        violations += int((s == w).sum())
-        violations += int((decrypt_batch(s, k, size) != w).sum())
-        if cipher.decrypt(NULL_MSG, 1) is not NULL_MSG:
-            violations += 1
-        detail = f"{violations} violations in {n} randomized checks (S={size})"
+        kind, checks = "randomized", n
+    s = encrypt_batch(w, k, size)
+    null = k == 0
+    bad_shift = (s == w) != null  # a key moves its word, NULL_KEY leaves it
+    bad_undo = decrypt_batch(s, k, size) != w  # decryption undoes both
+    # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
+    violations = (np.count_nonzero(bad_shift | bad_undo)
+                  + np.count_nonzero(bad_shift & bad_undo & null))
+    violations += ShiftCipher(size).decrypt(NULL_MSG, NULL_KEY) is not NULL_MSG
     status = "PASS" if violations == 0 else "FAIL"
+    detail = f"{violations} violations in {checks} {kind} checks (S={size})"
     return GateResult("cipher-identities", status, detail)
 
 
+def _worst_rel_diff(got, want) -> float:
+    """Largest |got - want| / max(1, |want|) over the arrays; nan if any term is."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
 def _gate_channel_rows(eps_values: list[float]) -> GateResult:
-    worst = 0.0
+    rows, strays = [], []
     for eps in eps_values:
-        row_p = primary_pmf(7, 7, eps) + primary_pmf(NULL_MSG, 7, eps)
-        row_s = secondary_pmf(3, 3, eps) + secondary_pmf(NULL_KEY, 3, eps)
-        row_null = secondary_pmf(NULL_KEY, NULL_KEY, eps)
-        for row in (row_p, row_s, row_null):
-            worst = max(worst, abs(row - 1.0))
-        for stray in (primary_pmf(8, 7, eps), secondary_pmf(4, 3, eps),
-                      secondary_pmf(3, NULL_KEY, eps)):
-            worst = max(worst, abs(stray))
+        rows += [primary_pmf(7, 7, eps) + primary_pmf(NULL_MSG, 7, eps),
+                 secondary_pmf(3, 3, eps) + secondary_pmf(NULL_KEY, 3, eps),
+                 secondary_pmf(NULL_KEY, NULL_KEY, eps)]
+        strays += [primary_pmf(8, 7, eps), secondary_pmf(4, 3, eps),
+                   secondary_pmf(3, NULL_KEY, eps)]
+    worst = _worst_rel_diff(rows + strays, [1.0] * len(rows) + [0.0] * len(strays))
     status = "PASS" if worst <= 1e-12 else "FAIL"
     return GateResult("channel-pmf-rows", status, f"max row-sum deviation {worst:.3e}")
 
 
-def _rel_diff_gate(name: str, worst: float, tol: float) -> GateResult:
+def _rel_diff_gate(name: str, got, want, tol: float) -> GateResult:
+    worst = _worst_rel_diff(got, want)
     status = "PASS" if worst <= tol else "FAIL"
     return GateResult(name, status, f"max rel diff {worst:.3e} (tol {tol:g})")
 
@@ -375,39 +367,29 @@ _GATE_STRATEGIES = (
 def _gate_enumeration(
     scenario: Scenario, eps_pairs: list[tuple[float, float]]
 ) -> GateResult:
-    if scenario.codebook_size > ENUMERATION_CAP:
-        return GateResult(
-            "closed-form-vs-enumeration",
-            "SKIP",
-            f"skipped: cardinality cap — S={scenario.codebook_size} exceeds "
-            f"{ENUMERATION_CAP}",
-        )
-    worst = 0.0
-    rows = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
-    for (eps_p, eps_s), oracles in zip(eps_pairs, rows):
-        for strat, oracle in zip(_GATE_STRATEGIES, oracles):
-            closed = distortion.opportunistic_distortion(
-                scenario, eps_p, eps_s, strat
-            ).total
-            worst = max(worst, abs(closed - oracle) / max(1.0, abs(oracle)))
-    return _rel_diff_gate("closed-form-vs-enumeration", worst, 1e-10)
+    name = "closed-form-vs-enumeration"
+    if reason := distortion.enumeration_limit(scenario):
+        return GateResult(name, "SKIP", f"skipped: {reason}")
+    oracles = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
+    closed = [[distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat).total
+               for strat in _GATE_STRATEGIES] for eps_p, eps_s in eps_pairs]
+    return _rel_diff_gate(name, closed, oracles, 1e-10)
 
 
 def _gate_perception_reduction(
     scenario: Scenario, rng: np.random.Generator
 ) -> GateResult:
-    worst = 0.0
+    perceived, pipelined = [], []
     for _ in range(200):
         alpha, eps_p, eps_s = rng.random(3)
         sc = replace(scenario, alpha=float(alpha))
-        a = distortion.opportunistic_distortion(
+        perceived.append(distortion.opportunistic_distortion(
             sc, float(eps_p), float(eps_s), PERCEPTION
-        ).total
-        b = distortion.deterministic_pipeline_distortion(
+        ).total)
+        pipelined.append(distortion.deterministic_pipeline_distortion(
             sc, float(eps_p), float(eps_s)
-        ).total
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return _rel_diff_gate("perception-vs-pipeline", worst, 1e-12)
+        ).total)
+    return _rel_diff_gate("perception-vs-pipeline", perceived, pipelined, 1e-12)
 
 
 def _gate_monte_carlo(
@@ -421,7 +403,7 @@ def _gate_monte_carlo(
     best = strategy.optimal_receiver_strategy(
         distortion.delta_terms(scenario, eps_s)
     ).strategy
-    worst_sigma = 0.0
+    sigmas = []
     for child, strat in zip(children, _GATE_STRATEGIES + (best,)):
         est = montecarlo.estimate_distortion(
             scenario,
@@ -437,10 +419,11 @@ def _gate_monte_carlo(
         gap = abs(est.mean - closed)
         # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
         # the analytic bound keeps the gate meaningful when events are so
-        # rare that the empirical standard error collapses to zero
-        se_bound = math.sqrt(scenario.d_conf * max(closed, 0.0) / trials)
+        # rare that the empirical standard error collapses to zero.  Its
+        # root is taken factor by factor, as d_conf * mean can overflow.
+        se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
         tol = 4.0 * max(est.std_error, se_bound) + 1e-12
-        if gap > tol:
+        if not gap <= tol:
             return GateResult(
                 "closed-form-vs-monte-carlo",
                 "FAIL",
@@ -448,11 +431,11 @@ def _gate_monte_carlo(
                 f"tol={tol:.3e} at {trials} trials",
             )
         if est.std_error > 0:
-            worst_sigma = max(worst_sigma, gap / est.std_error)
+            sigmas.append(gap / est.std_error)
     return GateResult(
         "closed-form-vs-monte-carlo",
         "PASS",
-        f"max |mean-analytic| = {worst_sigma:.2f} sigma over "
+        f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} sigma over "
         f"{len(_GATE_STRATEGIES) + 1} strategies at {trials} trials",
     )
 
@@ -460,19 +443,13 @@ def _gate_monte_carlo(
 def _gate_decomposition(
     scenario: Scenario, eps_pairs: list[tuple[float, float]]
 ) -> GateResult:
-    worst = 0.0
-    for eps_p, eps_s in eps_pairs:
-        reports = [
-            distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)
-            for strat in _GATE_STRATEGIES
-        ]
-        reports.append(
-            distortion.deterministic_pipeline_distortion(scenario, eps_p, eps_s)
-        )
-        for rep in reports:
-            gap = abs(rep.total - (rep.loss_part + rep.confusion_part))
-            worst = max(worst, gap / max(1.0, abs(rep.total)))
-    return _rel_diff_gate("report-decomposition", worst, 1e-12)
+    reports = [distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)
+               for eps_p, eps_s in eps_pairs for strat in _GATE_STRATEGIES]
+    reports += [distortion.deterministic_pipeline_distortion(scenario, eps_p, eps_s)
+                for eps_p, eps_s in eps_pairs]
+    return _rel_diff_gate("report-decomposition",
+                          [rep.loss_part + rep.confusion_part for rep in reports],
+                          [rep.total for rep in reports], 1e-12)
 
 
 def run_validation(loaded: ScenarioFile) -> list[GateResult]:

@@ -43,14 +43,6 @@ REAL_FIELDS = ("d_loss", "d_conf", "alpha", "code_rate", "snr_bob_db", "snr_eve_
 
 
 @dataclass(frozen=True)
-class DistortionModel:
-    """Three-level semantic distance parameters (validated by the scenario)."""
-
-    d_loss: float
-    d_conf: float
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One experiment configuration.
 
@@ -83,14 +75,6 @@ class Scenario:
             bad = scenario_violations(self)
         if bad:
             raise ScenarioError(bad)
-
-    @property
-    def distortion(self) -> DistortionModel:
-        return DistortionModel(self.d_loss, self.d_conf)
-
-    @property
-    def keyspace_size(self) -> int:
-        return self.codebook_size - 1
 
     @property
     def blocklength(self) -> int:
@@ -173,12 +157,12 @@ def scenario_violations(s: Scenario) -> list[str]:
     return bad
 
 
-def distance(w: int, w_hat: Symbol, model: DistortionModel) -> float:
+def distance(w: int, w_hat: Symbol, scenario: Scenario) -> float:
     """Semantic distance d(w, w_hat): 0 exact, d_loss erased, d_conf wrong."""
     if w is NULL_MSG:
         raise ValueError("true meaning cannot be the error flag NULL_MSG")
     if w_hat is NULL_MSG:
-        return model.d_loss
+        return scenario.d_loss
     if w_hat == w:
         return 0.0
-    return model.d_conf
+    return scenario.d_conf

@@ -15,6 +15,7 @@ probabilities repeat the previous key's.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -181,6 +182,21 @@ def opportunistic_distortion(
 KEY_BLOCK = 64
 
 
+def enumeration_limit(scenario: Scenario) -> str | None:
+    """Why ``enumeration_oracle`` refuses the scenario, or None if it does not.
+
+    The oracle's literal sums reach S * d_conf; keeping that below half the
+    largest float leaves the other half for their rounding.
+    """
+    size = scenario.codebook_size
+    if size > ENUMERATION_CAP:
+        return f"cardinality cap — S={size} exceeds {ENUMERATION_CAP}"
+    if not size * scenario.d_conf <= sys.float_info.max / 2:
+        return (f"float range — S={size} times d_conf={scenario.d_conf!r} "
+                "exceeds half the largest float")
+    return None
+
+
 def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Literal per-meaning sums of d(w, w_hat) over all valid estimates w_hat."""
     size = scenario.codebook_size
@@ -226,13 +242,11 @@ def enumeration_oracle(
     two masks and key-channel pmfs repeat the previous key's bit for bit,
     and they join the totals one key at a time, in key order.
     Returns a (len(channels), len(strategies)) array in the order given;
-    refuses oversized codebooks and bad pairs before the pass.
+    refuses what ``enumeration_limit`` names, and bad pairs, before the pass.
     """
+    if reason := enumeration_limit(scenario):
+        raise ValueError(reason)
     size = scenario.codebook_size
-    if size > ENUMERATION_CAP:
-        raise ValueError(
-            f"codebook_size {size} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
     for eps_p, eps_s in channels:
         _check_eps(eps_p, "eps_p")
         _check_eps(eps_s, "eps_s")

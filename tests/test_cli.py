@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pld.cli
@@ -555,6 +556,62 @@ def test_validate_detects_closed_form_corruption(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL") for line in out.splitlines())
     assert "0 failed" not in out.splitlines()[-1]
+
+
+def test_validate_fails_a_nan_oracle(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pld.distortion, "enumeration_oracle",
+                        lambda scenario, channels, strategies:
+                        np.full((len(channels), len(strategies)), np.nan))
+    path = write_doc(tmp_path, dict(BASE_DOC, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    assert ("FAIL closed-form-vs-enumeration: max rel diff nan (tol 1e-10)"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_validate_checks_the_batch_cipher_at_small_codebooks(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(pld.cli, "encrypt_batch",
+                        lambda words, keys, size, out=None: words.copy())
+    path = write_doc(tmp_path, dict(BASE_DOC, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    # both keyed pairs of S=2 break the rule; the NULL_KEY pairs hold
+    assert ("FAIL cipher-identities: 2 violations in 7 exhaustive checks (S=2)"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
+                                                            monkeypatch):
+    # the analytic bound d_conf * mean overflowed above d_conf ~ 1e154, which
+    # made the tolerance inf and let any estimate pass
+    original = pld.montecarlo.estimate_distortion
+
+    def doubled(*args, **kwargs):
+        est = original(*args, **kwargs)
+        return replace(est, mean=2.0 * est.mean + 1.0)
+
+    monkeypatch.setattr(pld.montecarlo, "estimate_distortion", doubled)
+    path = write_doc(tmp_path, dict(BASE_DOC, d_conf=1e200, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4].startswith("FAIL closed-form-vs-monte-carlo: ")
+    assert lines[-1] == "gates: 5 passed, 1 failed, 0 skipped"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size,d_conf", [(2, 1e308), (4096, 1e307)])
+def test_validate_skips_enumeration_beyond_the_float_range(tmp_path, capsys,
+                                                           size, d_conf):
+    doc = dict(BASE_DOC, codebook_size=size, mc_trials=20000)
+    admitted = sys.float_info.max / 2 / size  # exact: S is a power of two
+    skipped = ("SKIP closed-form-vs-enumeration: skipped: float range — "
+               f"S={size} times d_conf={d_conf!r} exceeds half the largest float")
+    for value, expected in ((d_conf, skipped),
+                            (admitted, "PASS closed-form-vs-enumeration: ")):
+        path = write_doc(tmp_path, dict(doc, d_conf=value))
+        assert main(["validate", "--scenario", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[2].startswith(expected)
 
 
 def test_validate_writes_report_file(tmp_path):

@@ -6,15 +6,12 @@ import pytest
 from pld.core import (
     NULL_KEY,
     NULL_MSG,
-    DistortionModel,
     Scenario,
     ScenarioError,
     code_violations,
     distance,
     scenario_violations,
 )
-
-MODEL = DistortionModel(d_loss=1.0, d_conf=10.0)
 
 
 def make_scenario(**kw):
@@ -30,6 +27,9 @@ def make_scenario(**kw):
     return Scenario(**base)
 
 
+SCENARIO = make_scenario()  # d_loss 1, d_conf 10
+
+
 def test_sentinels_are_distinct_markers():
     assert NULL_MSG is not NULL_KEY
     assert repr(NULL_MSG) == "NULL_MSG"
@@ -40,19 +40,19 @@ def test_sentinels_are_distinct_markers():
 
 
 def test_distance_levels():
-    assert distance(3, 3, MODEL) == 0.0
-    assert distance(3, NULL_MSG, MODEL) == 1.0
-    assert distance(3, 5, MODEL) == 10.0
+    assert distance(3, 3, SCENARIO) == 0.0
+    assert distance(3, NULL_MSG, SCENARIO) == 1.0
+    assert distance(3, 5, SCENARIO) == 10.0
 
 
 def test_distance_zero_on_diagonal():
     for w in range(8):
-        assert distance(w, w, MODEL) == 0.0
+        assert distance(w, w, SCENARIO) == 0.0
 
 
 def test_distance_rejects_null_truth():
     with pytest.raises(ValueError):
-        distance(NULL_MSG, 3, MODEL)
+        distance(NULL_MSG, 3, SCENARIO)
 
 
 def test_validate_accepts_reference_parameters():
@@ -136,9 +136,3 @@ def test_code_rules_skip_the_blocklength_of_a_non_integer():
 def test_blocklength_arithmetic():
     assert make_scenario(payload_bits=64, code_rate=0.5).blocklength == 128
     assert make_scenario(payload_bits=64, code_rate=1.0).blocklength == 64
-
-
-def test_scenario_convenience_accessors():
-    sc = make_scenario()
-    assert sc.distortion == MODEL
-    assert sc.keyspace_size == 1

@@ -4,6 +4,7 @@ The oracles in this file re-derive expectations straight from the channel
 pmfs, the cipher, and the distance function — no delta-term algebra — so
 they stay independent of the formulas under test.
 """
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,7 +53,7 @@ def keyed_distortion_oracle(scenario, eps_p, k, k_hat):
         for s_hat in list(range(size)) + [NULL_MSG]:
             p = primary_pmf(s_hat, s, eps_p)
             total += (
-                p * distance(w, cipher.decrypt(s_hat, k_hat), scenario.distortion)
+                p * distance(w, cipher.decrypt(s_hat, k_hat), scenario)
             )
     return total / size
 
@@ -273,6 +274,39 @@ def test_enumeration_rejects_oversized_codebook():
     sc = make_scenario(size=8192)
     with pytest.raises(ValueError, match="cap"):
         enumeration_oracle(sc, [(0.1, 0.1)], [PERCEPTION])
+
+
+def largest_admitted_d_conf(size):
+    """The largest d_conf whose S * d_conf stays within half the largest float."""
+    d_conf = sys.float_info.max / 2 / size
+    while size * float(np.nextafter(d_conf, np.inf)) <= sys.float_info.max / 2:
+        d_conf = float(np.nextafter(d_conf, np.inf))
+    while not size * d_conf <= sys.float_info.max / 2:
+        d_conf = float(np.nextafter(d_conf, 0.0))
+    return d_conf
+
+
+@pytest.mark.parametrize("size,d_conf", [(2, 1e308), (4096, 1e307)])
+def test_enumeration_rejects_sums_beyond_the_float_range(size, d_conf):
+    sc = make_scenario(size=size, d_conf=d_conf)
+    assert distortion.enumeration_limit(sc).startswith("float range")
+    with pytest.raises(ValueError, match="float range"):
+        enumeration_oracle(sc, [(0.1, 0.1)], [PERCEPTION])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [2, 3, 257, 4095, ENUMERATION_CAP])
+def test_enumeration_is_finite_at_the_largest_admitted_d_conf(size):
+    # at S = 257 and 4095, S * d_conf just below the largest float overflows
+    # the sums' rounding; half of it leaves room
+    d_conf = largest_admitted_d_conf(size)
+    for d_loss in (d_conf / 3, float(np.nextafter(d_conf, 0.0))):
+        sc = make_scenario(size=size, alpha=0.99, d_loss=d_loss, d_conf=d_conf)
+        assert distortion.enumeration_limit(sc) is None
+        pairs = [(0.0, 0.0), (0.1, 0.2), (0.5, 0.5), (1e-9, 1e-9), (1.0, 0.0),
+                 (0.0, 1.0)]
+        totals = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+        assert np.isfinite(totals).all()
 
 
 # Oracle totals at d_loss=1.3, d_conf=5, alpha=0.7, recorded from the

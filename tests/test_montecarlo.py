@@ -138,7 +138,7 @@ def test_outcome_counts_match_per_trial_scoring(size):
             w_hat = NULL_MSG
         else:
             w_hat = int(batch.exclusion_pick[i])
-        d = distance(w, w_hat, sc.distortion)
+        d = distance(w, w_hat, sc)
         n_loss += d == sc.d_loss
         n_conf += d == sc.d_conf
     assert _count_outcomes(batch, strat) == (n_loss, n_conf)
