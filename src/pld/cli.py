@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -419,10 +420,12 @@ def _gate_monte_carlo(
         gap = abs(est.mean - closed)
         # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
         # the analytic bound keeps the gate meaningful when events are so
-        # rare that the empirical standard error collapses to zero.  Its
-        # root is taken factor by factor, as d_conf * mean can overflow.
+        # rare that the empirical standard error collapses to zero, and
+        # judges one trial alone, whose standard error is nan.  Its root is
+        # taken factor by factor, as d_conf * mean can overflow.
         se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
-        tol = 4.0 * max(est.std_error, se_bound) + 1e-12
+        empirical = est.std_error if trials > 1 else 0.0
+        tol = 4.0 * max(empirical, se_bound) + 1e-12
         if not gap <= tol:
             return GateResult(
                 "closed-form-vs-monte-carlo",
@@ -530,7 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="override scenario mc_trials")
     p.set_defaults(func=cmd_validate)
 
+    # argparse on Python 3.10/3.11 reads "-1e1" and "-5." as unknown options,
+    # not values; no public setting changes what it takes for a negative
+    # number, so the private matcher each subparser checks is replaced
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     for name, p in sub.choices.items():
+        p._negative_number_matcher = negative_number
         p.add_argument(
             "--scenario",
             required=name != "error-table",
@@ -546,6 +554,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # argparse on Python 3.10/3.11 reads "--flag=--" as an empty list
+    if empty := [name for name, value in vars(args).items() if value == []]:
+        print(f"error: --{empty[0].replace('_', '-')} needs a value", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -80,7 +80,6 @@ class DistortionReport:
     total: float
     loss_part: float
     confusion_part: float
-    strategy_used: ReceiverStrategy | str
 
 
 def distortion_synchronized_key(scenario: Scenario, eps_p: float, k: Key) -> float:
@@ -126,7 +125,7 @@ def deterministic_pipeline_distortion(
     _check_eps(eps_s, "eps_s")
     loss = eps_p * scenario.d_loss
     confusion = scenario.alpha * (1.0 - eps_p) * eps_s * scenario.d_conf
-    return DistortionReport(loss + confusion, loss, confusion, "deterministic")
+    return DistortionReport(loss + confusion, loss, confusion)
 
 
 def delta_terms(scenario: Scenario, eps_s: float) -> DeltaTerms:
@@ -171,7 +170,7 @@ def opportunistic_distortion(
     deliver = 1.0 - eps_p
     loss = eps_p * scenario.d_loss + deliver * strategy.beta2 * d.delta2
     confusion = deliver * (strategy.beta1 * d.delta1 + strategy.beta3 * d.delta3)
-    return DistortionReport(loss + confusion, loss, confusion, strategy)
+    return DistortionReport(loss + confusion, loss, confusion)
 
 
 # ---------------------------------------------------------------------------

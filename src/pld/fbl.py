@@ -80,8 +80,11 @@ def packet_error_rate(snr_linear: float, code: FblCode) -> float:
     At the SNR where the code rate k/n equals C(g)/2 the argument is zero
     and eps is exactly 1/2.  The result is clamped away from 0 and 1.
     Below about -159.5 dB, 1 + g rounds to 1 and the dispersion is 0; the
-    argument's limit is then -inf, so eps is its limit 1, clamped.
+    argument's limit is then -inf, so eps is its limit 1, clamped.  Below
+    about -3233 dB, g itself underflows to 0, and eps is the same limit.
     """
+    if snr_linear == 0.0:
+        return EPS_CEIL
     n = code.blocklength_n
     capacity_bits = 0.5 * n * shannon_capacity(snr_linear)
     dispersion = 0.5 * n * channel_dispersion(snr_linear)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -44,45 +43,25 @@ def trials_violations(trials: int, name: str = "trials") -> list[str]:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error and provenance."""
+    """Monte Carlo mean with its standard error."""
 
     mean: float
     std_error: float
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if bad := trials_violations(self.trials):
-            raise ValueError(bad[0])
 
 
 @dataclass(frozen=True)
 class TrialBatch:
     """One chunk's draws; a NULL_KEY slot holds key 0, the cipher's encoding
-    of NULL_KEY, with ``key_active`` False (it gates ``key_decoded``).
-
-    ``exclusion_draw`` is uniform over [0, S-2]; ``exclusion_pick`` shifts it
-    past the ciphertext.  ``ciphertext`` and ``exclusion_pick`` are computed
-    from the stored draws on first use; ``_count_outcomes`` never needs them
-    whole.
-    """
+    of NULL_KEY, and ``key_decoded`` False.  ``exclusion_draw`` is uniform
+    over [0, S-2]; ``_count_outcomes`` shifts it past the ciphertext."""
 
     codebook_size: int
     message: np.ndarray
     key: np.ndarray
-    key_active: np.ndarray
     delivered: np.ndarray
     key_decoded: np.ndarray
     branch_u: np.ndarray
     exclusion_draw: np.ndarray
-
-    @cached_property
-    def ciphertext(self) -> np.ndarray:
-        return crypto.encrypt_batch(self.message, self.key, self.codebook_size)
-
-    @cached_property
-    def exclusion_pick(self) -> np.ndarray:
-        return self.exclusion_draw + (self.exclusion_draw >= self.ciphertext)
 
 
 def simulate_batch(
@@ -108,9 +87,7 @@ def simulate_batch(
     key_decoded &= key_active
     branch_u = rng.random(size, out=uniform)
     excl = rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
-    return TrialBatch(
-        cardinality, w, key_vals, key_active, delivered, key_decoded, branch_u, excl
-    )
+    return TrialBatch(cardinality, w, key_vals, delivered, key_decoded, branch_u, excl)
 
 
 def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int, int]:
@@ -224,4 +201,4 @@ def estimate_distortion(
         std_error = scenario.d_conf * math.sqrt(scaled)
     else:
         std_error = float("nan")
-    return McEstimate(float(mean), std_error, trials, seed)
+    return McEstimate(float(mean), std_error)

@@ -240,17 +240,17 @@ def test_snr_grid_rejects_bad_ranges(lo, hi, step):
         snr_grid(lo, hi, step)
 
 
+SNR_FLAGS = [("error-table", "snr"), ("sweep-receiver", "snr"),
+             ("optimize-alpha", "bob-snr"), ("optimize-alpha", "eve-snr")]
+
+
 # (hi - lo) / step overflows to inf, or counts 1e301 points: over the bound
 ENDLESS_AXES = [("-5", "5", "5e-324"), ("-1e308", "1e308", "0.5"),
                 ("-5", "5", "1e-300")]
 
 
 @pytest.mark.parametrize("lo,hi,step", ENDLESS_AXES)
-@pytest.mark.parametrize(
-    "command,prefix",
-    [("error-table", "snr"), ("sweep-receiver", "snr"),
-     ("optimize-alpha", "bob-snr"), ("optimize-alpha", "eve-snr")],
-)
+@pytest.mark.parametrize("command,prefix", SNR_FLAGS)
 def test_endless_snr_axis_rejected(tmp_path, capsys, command, prefix, lo, hi, step):
     out = tmp_path / "out.csv"
     path = str(SCENARIO_DIR / "small_codebook.json")
@@ -260,6 +260,32 @@ def test_endless_snr_axis_rejected(tmp_path, capsys, command, prefix, lo, hi, st
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(float(lo)) in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,prefix", SNR_FLAGS)
+def test_snr_flags_take_negative_exponent_forms(capsys, command, prefix):
+    # argparse on Python 3.10/3.11 took "-1e1" and "-5." for unknown options
+    scenario = ["--scenario", SMALL_SCENARIO]
+    values = {"lo": "-1e1", "hi": "-5.", "step": "2.5E+0"}
+    joined = [f"--{prefix}-{end}={value}" for end, value in values.items()]
+    spaced = [part for end, value in values.items()
+              for part in (f"--{prefix}-{end}", value)]
+    assert main([command, *scenario, *joined]) == 0
+    want = capsys.readouterr().out
+    assert main([command, *scenario, *spaced]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (want, "")
+    assert "\n-10.0," in out or ",-10.0," in out
+
+
+@pytest.mark.parametrize("argv", [["error-table", "--snr-lo=--"],
+                                  ["error-table", "--out=--"],
+                                  ["validate", "--scenario=--"]])
+def test_flag_set_to_a_double_dash_exits_2(capsys, argv):
+    # argparse on Python 3.10/3.11 hands "--flag=--" over as an empty list
+    assert main(argv) == 2
+    flag = argv[1].split("=")[0]
+    assert capsys.readouterr().err == f"error: {flag} needs a value\n"
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +605,8 @@ def test_validate_checks_the_batch_cipher_at_small_codebooks(tmp_path, capsys,
             in capsys.readouterr().out.splitlines())
 
 
-def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
-                                                            monkeypatch):
-    # the analytic bound d_conf * mean overflowed above d_conf ~ 1e154, which
-    # made the tolerance inf and let any estimate pass
+def break_the_monte_carlo_kernel(monkeypatch):
+    """Make every Monte Carlo mean 2 * mean + 1, far off the closed form."""
     original = pld.montecarlo.estimate_distortion
 
     def doubled(*args, **kwargs):
@@ -590,11 +614,38 @@ def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
         return replace(est, mean=2.0 * est.mean + 1.0)
 
     monkeypatch.setattr(pld.montecarlo, "estimate_distortion", doubled)
+
+
+def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
+                                                            monkeypatch):
+    # the analytic bound d_conf * mean overflowed above d_conf ~ 1e154, which
+    # made the tolerance inf and let any estimate pass
+    break_the_monte_carlo_kernel(monkeypatch)
     path = write_doc(tmp_path, dict(BASE_DOC, d_conf=1e200, mc_trials=20000))
     assert main(["validate", "--scenario", path]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[4].startswith("FAIL closed-form-vs-monte-carlo: ")
     assert lines[-1] == "gates: 5 passed, 1 failed, 0 skipped"
+
+
+def test_validate_judges_one_trial_by_the_analytic_bound(capsys):
+    # the standard error of one trial is nan; the gate once made tol nan
+    argv = ["validate", "--scenario", SMALL_SCENARIO, "--trials", "1", "--seed", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4] == ("PASS closed-form-vs-monte-carlo: max |mean-analytic| = "
+                        "0.00 sigma over 5 strategies at 1 trials")
+
+
+def test_validate_fails_a_faulty_kernel_at_one_trial(capsys, monkeypatch):
+    break_the_monte_carlo_kernel(monkeypatch)
+    argv = ["validate", "--scenario", SMALL_SCENARIO, "--trials", "1", "--seed", "3"]
+    assert main(argv) == 1
+    line = capsys.readouterr().out.splitlines()[4]
+    assert line.startswith("FAIL closed-form-vs-monte-carlo: ")
+    tol = float(line.split("tol=")[1].split()[0])
+    # 4 * sqrt(d_conf * closed / 1) at d_conf = 10, closed ~ 0.0033
+    assert 0.5 < tol < 1.0
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,7 +5,7 @@ pmfs, the cipher, and the distance function — no delta-term algebra — so
 they stay independent of the formulas under test.
 """
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from pld.distortion import (
     EXCLUSION,
     PERCEPTION,
     DeltaTerms,
+    DistortionReport,
     ReceiverStrategy,
     delta_terms,
     deterministic_pipeline_distortion,
@@ -125,7 +126,11 @@ def test_pipeline_reference_value():
     assert report.total == pytest.approx(1.882, rel=1e-12)
     assert report.loss_part == pytest.approx(0.1, rel=1e-12)
     assert report.confusion_part == pytest.approx(1.782, rel=1e-12)
-    assert report.strategy_used == "deterministic"
+
+
+def test_report_holds_results_only():
+    names = [f.name for f in fields(DistortionReport)]
+    assert names == ["total", "loss_part", "confusion_part"]
 
 
 def test_delta_terms_reference_values():

@@ -154,3 +154,11 @@ def test_error_rate_is_its_limit_where_the_dispersion_vanishes(code):
     grid = [snr_db_to_linear(-159.0 - 0.01 * i) for i in range(101)]
     assert channel_dispersion(grid[0]) > 0.0
     assert {packet_error_rate(g, code) for g in grid} == {EPS_CEIL}
+
+
+def test_error_rate_is_its_limit_where_the_snr_underflows():
+    # below about -3233 dB, 10^(dB/10) is 0.0, which the capacity rejects
+    assert snr_db_to_linear(-4000.0) == 0.0
+    assert packet_error_rate(snr_db_to_linear(-4000.0), CODE) == EPS_CEIL
+    with pytest.raises(ValueError):
+        packet_error_rate(-1.0, CODE)

@@ -1,13 +1,14 @@
 """Stochastic pipeline simulation: laws, invariants, and reproducibility."""
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pld import montecarlo
-from pld.core import NULL_MSG, Scenario, distance
+from pld.core import NULL_KEY, NULL_MSG, Scenario, distance
 from pld.crypto import ShiftCipher
 from pld.distortion import (
     DROPPING,
@@ -21,6 +22,7 @@ from pld.montecarlo import (
     CHUNK_TRIALS,
     MAX_TRIALS,
     McEstimate,
+    TrialBatch,
     _count_outcomes,
     estimate_distortion,
     simulate_batch,
@@ -64,8 +66,6 @@ def test_argument_validation():
     for workers in (0, 2.5, True):
         with pytest.raises(ValueError, match="workers"):
             estimate_distortion(sc, 0.1, 0.1, CENTER, 100, seed=1, workers=workers)
-    with pytest.raises(ValueError):
-        McEstimate(0.0, 0.0, 0, 1)
 
 
 @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20 - 1, 1.5, True])
@@ -95,59 +95,59 @@ def test_impossible_channel_rejected_before_any_draw(monkeypatch, label, bad):
 # per-trial structure of the vectorized kernel
 # ---------------------------------------------------------------------------
 
+def test_records_hold_results_only():
+    assert [f.name for f in fields(TrialBatch)] == [
+        "codebook_size", "message", "key", "delivered", "key_decoded", "branch_u",
+        "exclusion_draw",
+    ]
+    assert [f.name for f in fields(McEstimate)] == ["mean", "std_error"]
+
+
 def test_batch_pipeline_invariants():
     sc = make_scenario(size=4, alpha=0.6)
     rng = np.random.default_rng(99)
     batch = simulate_batch(rng, sc, 0.3, 0.4, 20000)
 
     assert batch.message.max() < 4
-    assert batch.ciphertext.max() < 4
-    active = batch.key_active
-    assert np.all(batch.key[active] >= 1)
-    assert np.all(batch.key[active] <= 3)
-    assert np.all(batch.key[~active] == 0)
-    expect_s = np.where(active, (batch.message + batch.key) % 4, batch.message)
-    assert np.array_equal(batch.ciphertext, expect_s)
-
-    # a key can only be decoded if one was actually sent
-    assert not np.any(batch.key_decoded & ~active)
-
-    # exclusion guesses among the codewords other than the one received
-    assert np.all(batch.exclusion_pick != batch.ciphertext)
-    assert batch.exclusion_pick.max() < 4
+    assert batch.key.max() <= 3
+    # a key can only be decoded if one was actually sent (key 0 is NULL_KEY)
+    assert not np.any(batch.key_decoded & (batch.key == 0))
+    # exclusion guesses among the S-1 codewords other than the one received
+    assert batch.exclusion_draw.max() < 3
 
 
 @pytest.mark.parametrize("size", [2, 4, 2**63 + 11, 1 << 64])
 def test_outcome_counts_match_per_trial_scoring(size):
-    """The counting scorer agrees with the scalar cipher and distance per trial."""
+    """The counting scorer agrees with the scalar cipher and distance per trial;
+    the exclusion rule is written out here, not taken from the kernel."""
     sc = make_scenario(size=size, alpha=0.6)
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
     batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
     cipher = ShiftCipher(size)
     n_loss = n_conf = 0
     for i in range(batch.message.size):
-        w, s = int(batch.message[i]), int(batch.ciphertext[i])
+        w, k = int(batch.message[i]), int(batch.key[i])
+        s = cipher.encrypt(w, NULL_KEY if k == 0 else k)
         u = batch.branch_u[i]
         if not batch.delivered[i]:
             w_hat = NULL_MSG
         elif batch.key_decoded[i]:
-            w_hat = cipher.decrypt(s, int(batch.key[i]))
+            w_hat = cipher.decrypt(s, k)
         elif u < strat.beta1:
             w_hat = s
         elif u < strat.beta1 + strat.beta2:
             w_hat = NULL_MSG
         else:
-            w_hat = int(batch.exclusion_pick[i])
+            # the draw numbers the codewords other than s in increasing order
+            draw = int(batch.exclusion_draw[i])
+            w_hat = draw if draw < s else draw + 1
         d = distance(w, w_hat, sc)
         n_loss += d == sc.d_loss
         n_conf += d == sc.d_conf
     assert _count_outcomes(batch, strat) == (n_loss, n_conf)
 
 
-BATCH_FIELDS = (
-    "message", "key", "key_active", "ciphertext", "delivered", "key_decoded",
-    "branch_u", "exclusion_pick",
-)
+BATCH_FIELDS = [f.name for f in fields(TrialBatch)]
 
 
 @pytest.mark.parametrize("size", [1, 20000, CHUNK_TRIALS + 12345])
@@ -171,7 +171,7 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
 
 @pytest.mark.parametrize("codebook", [4, 2**63 + 7, 1 << 64])
 def test_chunk_allocates_at_most_40_bytes_per_trial(codebook):
-    """The draws (35 B/trial) plus block scratch; no whole-chunk temporaries."""
+    """The draws (34 B/trial) plus block scratch; no whole-chunk temporaries."""
     sc = make_scenario(size=codebook, alpha=0.6)
     tracemalloc.start()
     try:
@@ -197,7 +197,7 @@ def test_branch_frequencies_match_their_probabilities():
         return abs(np.count_nonzero(mask) / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     assert within_4_sigma(~batch.delivered, eps_p)
-    assert within_4_sigma(batch.key_active, alpha)
+    assert within_4_sigma(batch.key != 0, alpha)
     assert within_4_sigma(batch.key_decoded, alpha * (1 - eps_s))
     u = batch.branch_u[batch.delivered & ~batch.key_decoded]
     b1, b12 = strat.beta1, strat.beta1 + strat.beta2
