@@ -7,7 +7,6 @@ expected distortions, an exhaustive-enumeration oracle, a Monte Carlo
 simulator of the full pipeline, and exact optimizers for the receiver's
 option mix and the transmitter's activation rate.
 """
-from .channels import TransportChannel
 from .core import (
     NULL_KEY,
     NULL_MSG,
@@ -27,7 +26,7 @@ from .distortion import (
     enumeration_oracle,
     opportunistic_distortion,
 )
-from .fbl import FblCode, packet_error_rate, q_function, snr_db_to_linear
+from .fbl import FblCode, error_rates, packet_error_rate, q_function, snr_db_to_linear
 from .montecarlo import McEstimate, estimate_distortion
 from .strategy import (
     DeceptionPlan,
@@ -52,13 +51,13 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ShiftCipher",
-    "TransportChannel",
     "delta_terms",
     "deterministic_pipeline_distortion",
     "distance",
     "distortion_mismatched_key",
     "distortion_synchronized_key",
     "enumeration_oracle",
+    "error_rates",
     "estimate_distortion",
     "opportunistic_distortion",
     "optimal_receiver_strategy",

@@ -9,35 +9,14 @@ independent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import NULL_KEY, NULL_MSG, Key, Symbol
-from .fbl import FblCode, packet_error_rate, snr_db_to_linear
 
 
 def _check_eps(eps: float, label: str) -> None:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"{label} must lie in [0, 1], got {eps!r}")
-
-
-@dataclass(frozen=True)
-class TransportChannel:
-    """Per-receiver error rates for the primary and secondary channels."""
-
-    eps_primary: float
-    eps_secondary: float
-
-    def __post_init__(self) -> None:
-        _check_eps(self.eps_primary, "eps_primary")
-        _check_eps(self.eps_secondary, "eps_secondary")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, code: FblCode) -> TransportChannel:
-        """Both channels use the same code, hence share one error rate."""
-        eps = packet_error_rate(snr_db_to_linear(snr_db), code)
-        return cls(eps, eps)
 
 
 def primary_pmf(s_hat: Symbol, s: int, eps_p: float) -> float:

@@ -32,7 +32,7 @@ from .core import (
 )
 from .crypto import ShiftCipher, decrypt_batch, encrypt_batch
 from .distortion import DROPPING, EXCLUSION, PERCEPTION, ReceiverStrategy
-from .fbl import FblCode, packet_error_rate, snr_db_to_linear
+from .fbl import FblCode, error_rates
 
 def run_violations(d_max: float, mc_trials: int, seed: int) -> list[str]:
     """Every rule the run settings of a scenario file break (empty if none)."""
@@ -105,16 +105,8 @@ def load_scenario_file(path: str) -> ScenarioFile:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_lines(rows: list[tuple]) -> str:
-    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_text(blocks: Iterable[str], out: str | None) -> None:
@@ -153,13 +145,6 @@ def snr_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _error_rates(code: FblCode, snrs: np.ndarray) -> np.ndarray:
-    """FBL error rate at each SNR, one ``math`` call each: numpy's
-    transcendentals may round differently."""
-    return np.array([packet_error_rate(snr_db_to_linear(snr), code)
-                     for snr in snrs.tolist()])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -182,8 +167,8 @@ def _error_table_code(args) -> FblCode:
 
 def cmd_error_table(args) -> int:
     code = _error_table_code(args)
-    snrs = np.array(snr_grid(args.snr_lo, args.snr_hi, args.snr_step))
-    rows = list(zip(snrs.tolist(), _error_rates(code, snrs).tolist()))
+    snrs = snr_grid(args.snr_lo, args.snr_hi, args.snr_step)
+    rows = list(zip(snrs, error_rates(code, snrs).tolist()))
     write_csv(["snr_db", "epsilon"], [_csv_lines(rows)], args.out)
     return 0
 
@@ -191,9 +176,9 @@ def cmd_error_table(args) -> int:
 def cmd_sweep_receiver(args) -> int:
     scenario = load_scenario_file(args.scenario).scenario
     code = FblCode.from_scenario(scenario)
-    snrs = np.array(snr_grid(args.snr_lo, args.snr_hi, args.snr_step))
+    snrs = snr_grid(args.snr_lo, args.snr_hi, args.snr_step)
     rows = []
-    for snr, eps in zip(snrs.tolist(), _error_rates(code, snrs).tolist()):
+    for snr, eps in zip(snrs, error_rates(code, snrs).tolist()):
         deltas = distortion.delta_terms(scenario, eps)
         sol = strategy.optimal_receiver_strategy(
             deltas, scenario=scenario, eps_p=eps
@@ -289,8 +274,8 @@ def cmd_optimize_alpha(args) -> int:
     bobs = np.array(snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step))
     eves = np.array(snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step))
     eve_curves = [strategy.receiver_curves(loaded.scenario, eps, eps) for eps in
-                  np.split(_error_rates(code, eves), range(_BLOCK, len(eves), _BLOCK))]
-    bob_eps = _error_rates(code, bobs)
+                  np.split(error_rates(code, eves), range(_BLOCK, len(eves), _BLOCK))]
+    bob_eps = error_rates(code, bobs)
     header = ["snr_bob_db", "snr_eve_db", "alpha_opt", "eve_distortion",
               "bob_distortion", "feasible"]
     blocks = _deception_blocks(loaded, bobs, bob_eps, eves, eve_curves)
@@ -433,8 +418,11 @@ def _gate_monte_carlo(
                 f"|{est.mean:.6g} - {closed:.6g}| = {gap:.3e} > "
                 f"tol={tol:.3e} at {trials} trials",
             )
-        if est.std_error > 0:
-            sigmas.append(gap / est.std_error)
+        # a strategy without a positive empirical standard error is
+        # measured in units of the bound it was judged by
+        scale = est.std_error if est.std_error > 0 else se_bound
+        if scale > 0:
+            sigmas.append(gap / scale)
     return GateResult(
         "closed-form-vs-monte-carlo",
         "PASS",
@@ -459,8 +447,8 @@ def run_validation(loaded: ScenarioFile) -> list[GateResult]:
     """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
     scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
     code = FblCode.from_scenario(scenario)
-    snrs = np.array([scenario.snr_bob_db, scenario.snr_eve_db])
-    eps_bob, eps_eve = _error_rates(code, snrs).tolist()
+    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
+    eps_bob, eps_eve = error_rates(code, snrs).tolist()
     eps_pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     return [

@@ -9,7 +9,10 @@ bits of capacity and V(g)/2 of dispersion.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Scenario
 
@@ -92,3 +95,10 @@ def packet_error_rate(snr_linear: float, code: FblCode) -> float:
         return EPS_CEIL
     eps = q_function((capacity_bits - code.info_bits_k) / math.sqrt(dispersion))
     return min(max(eps, EPS_FLOOR), EPS_CEIL)
+
+
+def error_rates(code: FblCode, snrs_db: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``packet_error_rate`` at each SNR in dB (ValueError past ~3082 dB), one
+    ``math`` call each: numpy's transcendentals may round differently."""
+    return np.array([packet_error_rate(snr_db_to_linear(snr), code)
+                     for snr in np.asarray(snrs_db, dtype=float).tolist()])

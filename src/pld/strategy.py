@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import TransportChannel, _check_eps
+from .channels import _check_eps
 from .core import Scenario, real_violations
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
-from .fbl import FblCode
+from .fbl import FblCode, error_rates
 
 OPTION_LABELS = ("perception", "dropping", "exclusion")
 
@@ -229,25 +229,26 @@ def optimize_deception(
     scenario: Scenario,
     d_max: float,
     *,
-    bob_channel: TransportChannel | None = None,
-    eve_channel: TransportChannel | None = None,
+    bob_channel: tuple[float, float] | None = None,
+    eve_channel: tuple[float, float] | None = None,
 ) -> DeceptionPlan:
     """Choose alpha maximizing Eve's distortion subject to Bob's cap.
 
-    Bob's channel comes from the scenario's snr_bob_db and Eve's from its
-    snr_eve_db (her expected SNR), both on the scenario's code, unless a
-    channel override injects error rates directly.  Both optimized
-    distortions are concave piecewise-linear in alpha, so the constraint set
-    is [0,1] minus an open interval; ``deception_search`` searches it.
+    A receiver's ``(eps_p, eps_s)`` pair defaults to (e, e), with e the
+    error rate of the scenario's code at snr_bob_db for Bob and snr_eve_db
+    (her expected SNR) for Eve.  Both optimized distortions are concave
+    piecewise-linear in alpha, so the constraint set is [0,1] minus an open
+    interval; ``deception_search`` searches it.
     """
     if bad := d_max_violations(d_max):
         raise ValueError(bad[0])
-    code = FblCode.from_scenario(scenario)
-    if bob_channel is None:
-        bob_channel = TransportChannel.from_snr_db(scenario.snr_bob_db, code)
-    if eve_channel is None:
-        eve_channel = TransportChannel.from_snr_db(scenario.snr_eve_db, code)
-    pairs = [(c.eps_primary, c.eps_secondary) for c in (bob_channel, eve_channel)]
+    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
+    rates = error_rates(FblCode.from_scenario(scenario), snrs).tolist()
+    pairs = [(e, e) if pair is None else pair
+             for pair, e in zip((bob_channel, eve_channel), rates)]
+    for (eps_p, eps_s), name in zip(pairs, ("bob_channel", "eve_channel")):
+        _check_eps(eps_p, f"{name} eps_p")
+        _check_eps(eps_s, f"{name} eps_s")
     curves = receiver_curves(scenario, *np.transpose(pairs))
     spans = sublevel_intervals(curves[:, :1], d_max)
     plan = deception_search(curves[:, :1], spans, curves[:, 1:])[:, 0, 0]

@@ -10,7 +10,6 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from pld.channels import TransportChannel
 from pld.core import NULL_KEY, NULL_MSG, Scenario
 from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch
 from pld.distortion import (
@@ -22,7 +21,7 @@ from pld.distortion import (
     enumeration_oracle,
     opportunistic_distortion,
 )
-from pld.fbl import FblCode, packet_error_rate, snr_db_to_linear
+from pld.fbl import FblCode, error_rates, packet_error_rate, snr_db_to_linear
 from pld.montecarlo import estimate_distortion
 from pld.strategy import (
     _values_at,
@@ -227,17 +226,17 @@ def test_c08_optimizer_matches_grid_search(report):
         )
         d_max = float(rng.uniform(1e-3, 3.0))
         if trial % 2:
-            bob = TransportChannel(float(rng.random()), float(rng.random()))
-            eve = TransportChannel(float(rng.random()), float(rng.random()))
+            bob = (float(rng.random()), float(rng.random()))
+            eve = (float(rng.random()), float(rng.random()))
             plan = optimize_deception(sc, d_max, bob_channel=bob,
                                       eve_channel=eve)
         else:
-            code = FblCode.from_scenario(sc)
-            bob = TransportChannel.from_snr_db(sc.snr_bob_db, code)
-            eve = TransportChannel.from_snr_db(sc.snr_eve_db, code)
+            eps_bob, eps_eve = error_rates(FblCode.from_scenario(sc),
+                                           (sc.snr_bob_db, sc.snr_eve_db))
+            bob, eve = (eps_bob, eps_bob), (eps_eve, eps_eve)
             plan = optimize_deception(sc, d_max)
-        vb = receiver_value_of_alpha(sc, bob.eps_primary, bob.eps_secondary)
-        ve = receiver_value_of_alpha(sc, eve.eps_primary, eve.eps_secondary)
+        vb = receiver_value_of_alpha(sc, *bob)
+        ve = receiver_value_of_alpha(sc, *eve)
         vb_vals = pwl_on_grid(vb, grid)
         ve_vals = pwl_on_grid(ve, grid)
         feasible = vb_vals <= d_max

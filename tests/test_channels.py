@@ -2,14 +2,8 @@
 import numpy as np
 import pytest
 
-from pld.channels import (
-    TransportChannel,
-    delivery_mask,
-    primary_pmf,
-    secondary_pmf,
-)
+from pld.channels import delivery_mask, primary_pmf, secondary_pmf
 from pld.core import NULL_KEY, NULL_MSG
-from pld.fbl import FblCode
 
 
 def test_primary_pmf_branches():
@@ -49,18 +43,3 @@ def test_erasure_frequency():
     freq = 1.0 - delivered.mean()
     assert abs(freq - 0.3) <= 4.0 * np.sqrt(0.3 * 0.7 / n)
 
-
-def test_transport_channel_validation():
-    with pytest.raises(ValueError):
-        TransportChannel(1.2, 0.5)
-    with pytest.raises(ValueError):
-        TransportChannel(0.5, -0.1)
-    ch = TransportChannel(0.25, 0.5)
-    assert (ch.eps_primary, ch.eps_secondary) == (0.25, 0.5)
-
-
-def test_transport_channel_from_snr():
-    # both channels share the same code, hence the same error rate
-    ch = TransportChannel.from_snr_db(0.0, FblCode(128, 64))
-    assert ch.eps_primary == 0.5
-    assert ch.eps_secondary == 0.5

@@ -17,6 +17,7 @@ from pld.fbl import (
     LOG2_E,
     FblCode,
     channel_dispersion,
+    error_rates,
     packet_error_rate,
     q_function,
     shannon_capacity,
@@ -162,3 +163,25 @@ def test_error_rate_is_its_limit_where_the_snr_underflows():
     assert packet_error_rate(snr_db_to_linear(-4000.0), CODE) == EPS_CEIL
     with pytest.raises(ValueError):
         packet_error_rate(-1.0, CODE)
+
+
+SNRS_DB = [-4000.0, -200.0, -5.0, -2.5, 0.0, 0.1, 2.5, 5.0, 37.25]
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_error_rates_are_the_scalar_map_bit_for_bit(kind):
+    got = error_rates(CODE, kind(SNRS_DB))
+    want = [packet_error_rate(snr_db_to_linear(x), CODE) for x in SNRS_DB]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[0] == got[1] == EPS_CEIL  # -4000 dB underflows, -200 dB has V = 0
+
+
+def test_error_rates_one_half_at_zero_db():
+    # both of a receiver's channels use the scenario's code: one rate for both
+    assert error_rates(FblCode(128, 64), [0.0]).tolist() == [0.5]
+
+
+def test_error_rates_reject_an_snr_past_the_float_range():
+    with pytest.raises(ValueError, match="overflows"):
+        error_rates(CODE, (0.0, 4000.0))

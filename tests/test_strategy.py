@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pld.channels import TransportChannel
 from pld.core import Scenario
 from pld.distortion import DeltaTerms, ReceiverStrategy, delta_terms
-from pld.fbl import FblCode
+from pld.fbl import FblCode, error_rates
 from pld.strategy import (
     OPTION_LABELS,
     DeceptionPlan,
@@ -27,11 +26,9 @@ def make_scenario(size=2, alpha=0.99, **kw):
 
 
 def value_curve(scenario, snr_db):
-    """The (envelope, channel) pair the optimizer sees for one party."""
-    code = FblCode.from_scenario(scenario)
-    channel = TransportChannel.from_snr_db(snr_db, code)
-    row = receiver_value_of_alpha(scenario, channel.eps_primary, channel.eps_secondary)
-    return row, channel
+    """The envelope the optimizer sees for one party at its default pair."""
+    eps = error_rates(FblCode.from_scenario(scenario), [snr_db])[0]
+    return receiver_value_of_alpha(scenario, eps, eps)
 
 
 def value_at(curve, x):
@@ -368,7 +365,7 @@ def test_optimizer_finds_interior_peak():
 def test_optimizer_respects_bob_constraint():
     sc = make_scenario(size=1 << 64, snr_bob_db=4.0, snr_eve_db=0.0)
     plan = optimize_deception(sc, 0.01)
-    vb, _ = value_curve(sc, 4.0)
+    vb = value_curve(sc, 4.0)
     assert plan.feasible
     assert value_at(vb, plan.alpha_opt) <= 0.01 + 1e-12
 
@@ -387,9 +384,8 @@ def test_flat_eve_curve_prefers_largest_alpha():
     # a lossless secondary channel for Eve makes her curve constant, so the
     # ascending tie-break should land on the right edge of the feasible set
     sc = make_scenario(size=4, snr_bob_db=4.0, snr_eve_db=0.0)
-    bob = TransportChannel(0.1, 0.1)
-    eve = TransportChannel(0.5, 0.0)
-    plan = optimize_deception(sc, 10.0, bob_channel=bob, eve_channel=eve)
+    plan = optimize_deception(sc, 10.0, bob_channel=(0.1, 0.1),
+                              eve_channel=(0.5, 0.0))
     assert plan.feasible
     assert plan.alpha_opt == 1.0
     assert plan.eve_distortion == pytest.approx(0.5, rel=1e-12)
@@ -401,6 +397,17 @@ def test_optimizer_input_validation():
         optimize_deception(sc, 0.0)
     with pytest.raises(ValueError):
         optimize_deception(sc, float("nan"))
+
+
+@pytest.mark.parametrize("name, pair, label", [
+    ("bob_channel", (1.2, 0.5), "bob_channel eps_p"),
+    ("bob_channel", (0.5, -0.1), "bob_channel eps_s"),
+    ("eve_channel", (-0.1, 0.5), "eve_channel eps_p"),
+    ("eve_channel", (0.5, float("nan")), "eve_channel eps_s"),
+], ids=["bob-p", "bob-s", "eve-p", "eve-s-nan"])
+def test_optimizer_rejects_an_override_rate_outside_0_1(name, pair, label):
+    with pytest.raises(ValueError, match=label):
+        optimize_deception(make_scenario(size=4), 10.0, **{name: pair})
 
 
 @pytest.mark.parametrize("d_max", ["x", None, True, 10**400],
@@ -422,8 +429,8 @@ def test_optimizer_agrees_with_dense_grid():
         )
         d_max = float(rng.uniform(5e-3, 2.0))
         plan = optimize_deception(sc, d_max)
-        vb, _ = value_curve(sc, sc.snr_bob_db)
-        ve, _ = value_curve(sc, sc.snr_eve_db)
+        vb = value_curve(sc, sc.snr_bob_db)
+        ve = value_curve(sc, sc.snr_eve_db)
         feasible = [a for a in grid if value_at(vb, float(a)) <= d_max]
         if not plan.feasible:
             assert not feasible

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pld.cli import _error_rates, load_scenario_file, snr_grid
-from pld.fbl import FblCode
+from pld.cli import load_scenario_file, snr_grid
+from pld.fbl import FblCode, error_rates
 from pld.strategy import receiver_curves, sublevel_intervals
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -67,8 +67,7 @@ def assert_same_bits(curves, level):
 def shipped_axis_curves(name):
     """Curves on a 20,001-point -40..60 dB axis of a shipped scenario."""
     scenario = load_scenario_file(str(SCENARIO_DIR / name)).scenario
-    eps = _error_rates(FblCode.from_scenario(scenario),
-                       np.array(snr_grid(-40.0, 60.0, 0.005)))
+    eps = error_rates(FblCode.from_scenario(scenario), snr_grid(-40.0, 60.0, 0.005))
     assert len(eps) == 20001
     return receiver_curves(scenario, eps, eps)
 
