@@ -33,7 +33,6 @@ from .strategy import (
     ReceiverSolution,
     optimal_receiver_strategy,
     optimize_deception,
-    receiver_value_of_alpha,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "optimize_deception",
     "packet_error_rate",
     "q_function",
-    "receiver_value_of_alpha",
     "snr_db_to_linear",
     "__version__",
 ]

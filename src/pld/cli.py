@@ -180,9 +180,7 @@ def cmd_sweep_receiver(args) -> int:
     rows = []
     for snr, eps in zip(snrs, error_rates(code, snrs).tolist()):
         deltas = distortion.delta_terms(scenario, eps)
-        sol = strategy.optimal_receiver_strategy(
-            deltas, scenario=scenario, eps_p=eps
-        )
+        sol = strategy.optimal_receiver_strategy(deltas)
         rows.append(
             (
                 snr,
@@ -194,7 +192,7 @@ def cmd_sweep_receiver(args) -> int:
                 sol.strategy.beta1,
                 sol.strategy.beta2,
                 sol.strategy.beta3,
-                sol.value,
+                eps * scenario.d_loss + (1.0 - eps) * sol.value,
             )
         )
     write_csv(

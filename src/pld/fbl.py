@@ -34,14 +34,14 @@ def snr_db_to_linear(snr_db: float) -> float:
 
 def shannon_capacity(snr_linear: float) -> float:
     """AWGN capacity log2(1 + g) in bits per complex channel use."""
-    if snr_linear <= 0.0:
+    if not snr_linear > 0.0:  # NaN too
         raise ValueError(f"SNR must be positive, got {snr_linear!r}")
     return math.log2(1.0 + snr_linear)
 
 
 def channel_dispersion(snr_linear: float) -> float:
     """AWGN dispersion V(g) = (1 - (1+g)^-2) * (log2 e)^2."""
-    if snr_linear <= 0.0:
+    if not snr_linear > 0.0:  # NaN too
         raise ValueError(f"SNR must be positive, got {snr_linear!r}")
     return (1.0 - (1.0 + snr_linear) ** -2) * LOG2_E * LOG2_E
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_eps
 from .core import Scenario, real_violations
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
 from .fbl import FblCode, error_rates
@@ -65,23 +64,14 @@ def lower_envelopes(intercepts: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     return stack
 
 
-def optimal_receiver_strategy(
-    deltas: DeltaTerms,
-    *,
-    scenario: Scenario | None = None,
-    eps_p: float | None = None,
-) -> ReceiverSolution:
+def optimal_receiver_strategy(deltas: DeltaTerms) -> ReceiverSolution:
     """Minimize expected distortion over the option simplex.
 
     All mass goes to the smallest delta term; deltas tied within TIE_TOL
     (relative to the largest term) share the mass equally and are reported
-    as the "tie-set".  Without channel context, ``value`` is the conditional
-    expected distortion given primary delivery (the weighted delta sum);
-    passing ``scenario`` and ``eps_p`` folds in the erasure floor to give
-    the full expected distortion.
+    as the "tie-set".  ``value`` is the conditional expected distortion
+    given primary delivery (the weighted delta sum).
     """
-    if (scenario is None) != (eps_p is None):
-        raise ValueError("supply scenario and eps_p together or not at all")
     values = deltas.as_tuple()
     tol = TIE_TOL * max(values)
     d_min = min(values)
@@ -90,8 +80,6 @@ def optimal_receiver_strategy(
     betas = [share if i in tied else 0.0 for i in range(3)]
     strategy = ReceiverStrategy(*betas)
     value = sum(b * v for b, v in zip(betas, values))
-    if scenario is not None:
-        value = eps_p * scenario.d_loss + (1.0 - eps_p) * value
     label = OPTION_LABELS[tied[0]] if len(tied) == 1 else "tie-set"
     return ReceiverSolution(strategy, value, label)
 
@@ -112,15 +100,6 @@ def receiver_curves(
     deliver = 1.0 - eps_p
     intercepts = eps_p * scenario.d_loss + deliver * at0
     return lower_envelopes(intercepts, deliver * (at1 - at0))
-
-
-def receiver_value_of_alpha(
-    scenario: Scenario, eps_p: float, eps_s: float
-) -> np.ndarray:
-    """``receiver_curves`` at one channel pair, as its ``(3, w)`` row."""
-    _check_eps(eps_p, "eps_p")
-    _check_eps(eps_s, "eps_s")
-    return receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))[:, 0]
 
 
 def sublevel_intervals(curves: np.ndarray, level: float) -> np.ndarray:
@@ -225,31 +204,20 @@ def deception_search(bobs: np.ndarray, spans: np.ndarray, eves: np.ndarray) -> n
     return out
 
 
-def optimize_deception(
-    scenario: Scenario,
-    d_max: float,
-    *,
-    bob_channel: tuple[float, float] | None = None,
-    eve_channel: tuple[float, float] | None = None,
-) -> DeceptionPlan:
+def optimize_deception(scenario: Scenario, d_max: float) -> DeceptionPlan:
     """Choose alpha maximizing Eve's distortion subject to Bob's cap.
 
-    A receiver's ``(eps_p, eps_s)`` pair defaults to (e, e), with e the
-    error rate of the scenario's code at snr_bob_db for Bob and snr_eve_db
-    (her expected SNR) for Eve.  Both optimized distortions are concave
-    piecewise-linear in alpha, so the constraint set is [0,1] minus an open
-    interval; ``deception_search`` searches it.
+    A receiver's ``(eps_p, eps_s)`` pair is (e, e), with e the error rate of
+    the scenario's code at snr_bob_db for Bob and snr_eve_db (her expected
+    SNR) for Eve.  Both optimized distortions are concave piecewise-linear
+    in alpha, so the constraint set is [0,1] minus an open interval;
+    ``deception_search`` searches it.
     """
     if bad := d_max_violations(d_max):
         raise ValueError(bad[0])
     snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
-    rates = error_rates(FblCode.from_scenario(scenario), snrs).tolist()
-    pairs = [(e, e) if pair is None else pair
-             for pair, e in zip((bob_channel, eve_channel), rates)]
-    for (eps_p, eps_s), name in zip(pairs, ("bob_channel", "eve_channel")):
-        _check_eps(eps_p, f"{name} eps_p")
-        _check_eps(eps_s, f"{name} eps_s")
-    curves = receiver_curves(scenario, *np.transpose(pairs))
+    rates = error_rates(FblCode.from_scenario(scenario), snrs)
+    curves = receiver_curves(scenario, rates, rates)
     spans = sublevel_intervals(curves[:, :1], d_max)
     plan = deception_search(curves[:, :1], spans, curves[:, 1:])[:, 0, 0]
     intervals = tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))

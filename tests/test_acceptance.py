@@ -24,10 +24,13 @@ from pld.distortion import (
 from pld.fbl import FblCode, error_rates, packet_error_rate, snr_db_to_linear
 from pld.montecarlo import estimate_distortion
 from pld.strategy import (
+    DeceptionPlan,
     _values_at,
+    deception_search,
     optimal_receiver_strategy,
     optimize_deception,
-    receiver_value_of_alpha,
+    receiver_curves,
+    sublevel_intervals,
 )
 
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
@@ -60,6 +63,21 @@ def grid_cells(sizes):
                 for eps_s in EPS_VALUES:
                     for strat in STRATEGIES:
                         yield size, alpha, eps_p, eps_s, strat
+
+
+def receiver_row(sc, eps_p, eps_s):
+    """``receiver_curves`` at one channel pair, as its ``(3, w)`` row."""
+    return receiver_curves(sc, np.array([eps_p]), np.array([eps_s]))[:, 0]
+
+
+def plan_at(sc, d_max, bob, eve):
+    """``optimize_deception``'s steps on the given ``(eps_p, eps_s)`` pairs of
+    Bob and Eve in place of the pairs of the scenario's SNRs."""
+    curves = receiver_curves(sc, *np.transpose([bob, eve]))
+    spans = sublevel_intervals(curves[:, :1], d_max)
+    plan = deception_search(curves[:, :1], spans, curves[:, 1:])[:, 0, 0]
+    intervals = tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))
+    return DeceptionPlan(*plan.tolist(), intervals, bool(intervals))
 
 
 def curve_at(row, xs):
@@ -228,15 +246,14 @@ def test_c08_optimizer_matches_grid_search(report):
         if trial % 2:
             bob = (float(rng.random()), float(rng.random()))
             eve = (float(rng.random()), float(rng.random()))
-            plan = optimize_deception(sc, d_max, bob_channel=bob,
-                                      eve_channel=eve)
+            plan = plan_at(sc, d_max, bob, eve)
         else:
             eps_bob, eps_eve = error_rates(FblCode.from_scenario(sc),
                                            (sc.snr_bob_db, sc.snr_eve_db))
             bob, eve = (eps_bob, eps_bob), (eps_eve, eps_eve)
             plan = optimize_deception(sc, d_max)
-        vb = receiver_value_of_alpha(sc, *bob)
-        ve = receiver_value_of_alpha(sc, *eve)
+        vb = receiver_row(sc, *bob)
+        ve = receiver_row(sc, *eve)
         vb_vals = pwl_on_grid(vb, grid)
         ve_vals = pwl_on_grid(ve, grid)
         feasible = vb_vals <= d_max

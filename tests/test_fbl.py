@@ -55,7 +55,7 @@ def test_capacity_landmarks():
 
 
 def test_capacity_rejects_nonpositive():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             shannon_capacity(bad)
         with pytest.raises(ValueError):
@@ -180,6 +180,14 @@ def test_error_rates_are_the_scalar_map_bit_for_bit(kind):
 def test_error_rates_one_half_at_zero_db():
     # both of a receiver's channels use the scenario's code: one rate for both
     assert error_rates(FblCode(128, 64), [0.0]).tolist() == [0.5]
+
+
+def test_error_rates_reject_a_nan_snr():
+    # NaN fails every comparison, so only a test that it is > 0 catches it
+    with pytest.raises(ValueError, match="nan"):
+        packet_error_rate(math.nan, CODE)
+    with pytest.raises(ValueError, match="nan"):
+        error_rates(CODE, [0.0, math.nan])
 
 
 def test_error_rates_reject_an_snr_past_the_float_range():

@@ -16,13 +16,18 @@ from pld.strategy import (
     lower_envelopes,
     optimal_receiver_strategy,
     optimize_deception,
-    receiver_value_of_alpha,
+    receiver_curves,
     sublevel_intervals,
 )
 
 
 def make_scenario(size=2, alpha=0.99, **kw):
     return Scenario(codebook_size=size, d_loss=1.0, d_conf=10.0, alpha=alpha, **kw)
+
+
+def receiver_value_of_alpha(scenario, eps_p, eps_s):
+    """``receiver_curves`` at one channel pair, as its ``(3, w)`` row."""
+    return receiver_curves(scenario, np.array([eps_p]), np.array([eps_s]))[:, 0]
 
 
 def value_curve(scenario, snr_db):
@@ -48,16 +53,6 @@ def test_reference_deltas_select_dropping():
     assert sol.active_option == "dropping"
     assert sol.strategy == ReceiverStrategy(0.0, 1.0, 0.0)
     assert sol.value == pytest.approx(0.0595, rel=1e-12)
-
-
-def test_value_with_channel_context():
-    sc = make_scenario()
-    sol = optimal_receiver_strategy(
-        DeltaTerms(0.495, 0.0595, 0.1), scenario=sc, eps_p=0.1
-    )
-    assert sol.value == pytest.approx(0.1 * 1.0 + 0.9 * 0.0595, rel=1e-12)
-    with pytest.raises(ValueError):
-        optimal_receiver_strategy(DeltaTerms(1.0, 2.0, 3.0), scenario=sc)
 
 
 def test_three_way_tie_splits_evenly():
@@ -184,20 +179,11 @@ def test_envelope_matches_pointwise_solver():
         row = receiver_value_of_alpha(sc, 0.1, 0.05)
         for alpha in np.linspace(0.0, 1.0, 2001):
             sc_a = dataclasses.replace(sc, alpha=float(alpha))
-            direct = optimal_receiver_strategy(
-                delta_terms(sc_a, 0.05), scenario=sc_a, eps_p=0.1
+            sol = optimal_receiver_strategy(delta_terms(sc_a, 0.05))
+            direct = 0.1 * sc_a.d_loss + (1.0 - 0.1) * sol.value
+            assert abs(value_at(row, float(alpha)) - direct) <= 1e-9 * max(
+                1.0, abs(direct)
             )
-            assert abs(value_at(row, float(alpha)) - direct.value) <= 1e-9 * max(
-                1.0, abs(direct.value)
-            )
-
-
-@pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
-@pytest.mark.parametrize("label", ["eps_p", "eps_s"])
-def test_envelope_rejects_impossible_channels(label, bad):
-    eps = {"eps_p": 0.1, "eps_s": 0.1, label: bad}
-    with pytest.raises(ValueError, match=label):
-        receiver_value_of_alpha(make_scenario(size=4), eps["eps_p"], eps["eps_s"])
 
 
 def test_envelope_is_concave():
@@ -384,8 +370,9 @@ def test_flat_eve_curve_prefers_largest_alpha():
     # a lossless secondary channel for Eve makes her curve constant, so the
     # ascending tie-break should land on the right edge of the feasible set
     sc = make_scenario(size=4, snr_bob_db=4.0, snr_eve_db=0.0)
-    plan = optimize_deception(sc, 10.0, bob_channel=(0.1, 0.1),
-                              eve_channel=(0.5, 0.0))
+    value_bob = receiver_curves(sc, np.array([0.1]), np.array([0.1]))
+    value_eve = receiver_curves(sc, np.array([0.5]), np.array([0.0]))
+    plan = search_one(value_bob, sublevel_intervals(value_bob, 10.0), value_eve)
     assert plan.feasible
     assert plan.alpha_opt == 1.0
     assert plan.eve_distortion == pytest.approx(0.5, rel=1e-12)
@@ -397,17 +384,6 @@ def test_optimizer_input_validation():
         optimize_deception(sc, 0.0)
     with pytest.raises(ValueError):
         optimize_deception(sc, float("nan"))
-
-
-@pytest.mark.parametrize("name, pair, label", [
-    ("bob_channel", (1.2, 0.5), "bob_channel eps_p"),
-    ("bob_channel", (0.5, -0.1), "bob_channel eps_s"),
-    ("eve_channel", (-0.1, 0.5), "eve_channel eps_p"),
-    ("eve_channel", (0.5, float("nan")), "eve_channel eps_s"),
-], ids=["bob-p", "bob-s", "eve-p", "eve-s-nan"])
-def test_optimizer_rejects_an_override_rate_outside_0_1(name, pair, label):
-    with pytest.raises(ValueError, match=label):
-        optimize_deception(make_scenario(size=4), 10.0, **{name: pair})
 
 
 @pytest.mark.parametrize("d_max", ["x", None, True, 10**400],
