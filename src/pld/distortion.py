@@ -11,7 +11,9 @@ with the closed forms, so the two can police each other in tests.  It makes
 one O(S^2) pass per call, shared by every channel pair and strategy asked
 about: every key's cipher runs, a block of keys at a time on narrow
 integers, and its arithmetic is reused when its masks and key-channel
-probabilities repeat the previous key's.
+probabilities repeat the previous key's.  The pass runs in scratch of fixed
+size, ~3 MB at the 4096 cap: one 512x512 distance block at a time, and
+buffers for a block of keys that every block reuses.
 """
 from __future__ import annotations
 
@@ -197,15 +199,24 @@ def enumeration_limit(scenario: Scenario) -> str | None:
 
 
 def _distance_rows(words: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Literal per-meaning sums of d(w, w_hat) over all valid estimates w_hat."""
-    size = scenario.codebook_size
+    """Literal per-meaning sums of d(w, w_hat) over all valid estimates w_hat.
+
+    The estimates run 512 at a time, each chunk one addend a meaning, added
+    in chunk order.  A meaning outside the chunk matches none of its
+    estimates, so each of theirs is one all-``d_conf`` row's sum; only the
+    chunk's own meanings take a 512x512 block (2 MB of float64).
+    """
+    size, d_conf = scenario.codebook_size, scenario.d_conf
     rowsum = np.zeros(size)
     chunk = 512
     for lo in range(0, size, chunk):
-        w_hat = np.arange(lo, min(lo + chunk, size), dtype=words.dtype)
-        rowsum += np.where(
-            words[:, None] == w_hat[None, :], 0.0, scenario.d_conf
+        hi = min(lo + chunk, size)
+        w_hat = np.arange(lo, hi, dtype=words.dtype)
+        addend = np.full(size, np.full((1, hi - lo), d_conf).sum(axis=1))
+        addend[lo:hi] = np.where(
+            words[lo:hi, None] == w_hat[None, :], 0.0, d_conf
         ).sum(axis=1)
+        rowsum += addend
     return rowsum
 
 
@@ -237,9 +248,12 @@ def enumeration_oracle(
     x - S*(x // S), right for a negative s - k too.  The integers are the
     narrowest signed dtype holding -(S-1) .. 2(S-1),
     ``np.min_scalar_type(-2 * S)``: int16 at the cap.  ``KEY_BLOCK`` keys
-    run as one 2-D pass, one row a key.  A key's terms are reused when its
-    two masks and key-channel pmfs repeat the previous key's bit for bit,
-    and they join the totals one key at a time, in key order.
+    run as one 2-D pass, one row a key, in buffers allocated once a call
+    and reused by every block: the three integer arrays and the two masks
+    take ~2 MB at the cap, and ``_distance_rows`` one 2 MB block at a time.
+    A key's terms are reused when its two masks and key-channel pmfs repeat
+    the previous key's bit for bit, and they join the totals one key at a
+    time, in key order.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses what ``enumeration_limit`` names, and bad pairs, before the pass.
     """
@@ -276,26 +290,34 @@ def enumeration_oracle(
         row += (1.0 - scenario.alpha) * block.mean(axis=1)
 
     key_weight = scenario.alpha / (size - 1)
-    terms, last = np.empty_like(totals), None
+    ciphertexts, decrypted, quotient = (
+        np.empty((KEY_BLOCK, size), words.dtype) for _ in range(3))
+    # Row 0 holds the key before the block, row i the block's i-th key.
+    # Before key 1 it holds the inactive term's all-True masks, which no
+    # key's seen mask matches, so key 1 runs whatever the placeholder pmfs.
+    seen, decoded = np.ones((2, KEY_BLOCK + 1, size), dtype=bool)
+    terms, pmfs = np.empty_like(totals), [[(0.0, 0.0)] * len(branches)]
     for lo in range(1, size, KEY_BLOCK):
         keys = range(lo, min(lo + KEY_BLOCK, size))
+        n = len(keys)
         shift = np.array(keys, dtype=words.dtype)[:, None]
-        ciphertexts = words + shift
-        ciphertexts -= size * (ciphertexts // size)
-        decrypted = ciphertexts - shift
-        decrypted -= size * (decrypted // size)
-        seen, decoded = ciphertexts == words, decrypted == words
-        pmfs = [[(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
-                 for *_, eps_s in branches] for k in keys]
-        # one row a key: its two masks, then the bits of its pmfs
-        pmf_bits = np.array(pmfs).reshape(len(keys), -1).view(np.uint8)
-        rows = np.hstack((seen, decoded, pmf_bits))
-        changed = np.empty(len(keys), dtype=bool)
-        changed[0] = last is None or (rows[0] != last).any()
-        (rows[1:] != rows[:-1]).any(axis=1, out=changed[1:])
-        last = rows[-1]
-        for i, key_pmfs in enumerate(pmfs):
-            if changed[i]:
+        c, d, q = ciphertexts[:n], decrypted[:n], quotient[:n]
+        np.add(words, shift, out=c)
+        c -= np.multiply(np.floor_divide(c, size, out=q), size, out=q)
+        np.subtract(c, shift, out=d)
+        d -= np.multiply(np.floor_divide(d, size, out=q), size, out=q)
+        np.equal(c, words, out=seen[1:n + 1])
+        np.equal(d, words, out=decoded[1:n + 1])
+        pmfs = pmfs[-1:] + [
+            [(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
+             for *_, eps_s in branches] for k in keys]
+        # the pmfs compare bit for bit, so -0.0 differs from 0.0
+        pmf_bits = np.array(pmfs).reshape(n + 1, -1).view(np.uint8)
+        changed = (seen[1:n + 1] != seen[:n]).any(axis=1)
+        changed |= (decoded[1:n + 1] != decoded[:n]).any(axis=1)
+        changed |= (pmf_bits[1:] != pmf_bits[:-1]).any(axis=1)
+        for i, key_pmfs in enumerate(pmfs[1:], 1):
+            if changed[i - 1]:
                 d_decoded = np.where(decoded[i], 0.0, d_conf)
                 mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
                 for j, (p_decoded, p_lost) in enumerate(key_pmfs):
@@ -306,4 +328,5 @@ def enumeration_oracle(
                     block += erasure
                     np.multiply(key_weight, block.mean(axis=1), out=terms[j])
             totals += terms
+        seen[0], decoded[0] = seen[n], decoded[n]
     return totals

@@ -5,6 +5,7 @@ pmfs, the cipher, and the distance function — no delta-term algebra — so
 they stay independent of the formulas under test.
 """
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -422,6 +423,19 @@ def test_oracle_keeps_pinned_bits_at_validate_size():
     assert [[repr(float(x)) for x in row] for row in rows] == [
         [repr(x) for x in pinned] for pinned in GATE_PAIR_ORACLE
     ]
+
+
+def test_oracle_at_the_cap_allocates_at_most_4_mib():
+    """The pass runs in small scratch: no S x 512 distance block, no stacked rows."""
+    sc = make_scenario(size=ENUMERATION_CAP, alpha=0.7, d_loss=1.3, d_conf=5.0)
+    pairs = [(0.0003, 0.0003), (0.5, 0.5), (0.1, 0.2), (0.5, 0.5)]
+    tracemalloc.start()
+    try:
+        enumeration_oracle(sc, pairs, PINNED_STRATEGIES[:4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -118,3 +118,16 @@ def test_oracle_matches_per_key_loop_bit_for_bit(size):
     want = per_key_oracle(scenario, PAIRS, PINNED_STRATEGIES)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# At d_conf=5.0 every partial sum of the distance rows is an exact integer,
+# so any summation order gives the same bits.  At non-dyadic levels only the
+# frozen 512-estimate chunks, added in order, do; the sizes straddle a chunk
+# and the cap.
+@pytest.mark.parametrize("d_conf", [0.1, 1 / 3])
+@pytest.mark.parametrize("size", [511, 512, 513, 4095, ENUMERATION_CAP])
+def test_oracle_keeps_the_summation_order_at_non_dyadic_levels(size, d_conf):
+    scenario = replace(BASE, codebook_size=size, d_loss=0.03, d_conf=d_conf)
+    got = enumeration_oracle(scenario, PAIRS, PINNED_STRATEGIES)
+    want = per_key_oracle(scenario, PAIRS, PINNED_STRATEGIES)
+    assert got.tobytes() == want.tobytes()
