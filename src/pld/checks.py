@@ -1,0 +1,168 @@
+"""The self-check suite behind ``pld validate``: six gates, each comparing a
+quantity found two independent ways, and one rule, ``_judged``, that passes
+a gate whose worst discrepancy is within its tolerance (a nan fails).
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from . import distortion, montecarlo, strategy
+from .channels import primary_pmf, secondary_pmf
+from .core import NULL_KEY, NULL_MSG, Scenario
+from .crypto import ShiftCipher, decrypt_batch, encrypt_batch
+from .distortion import DROPPING, EXCLUSION, PERCEPTION, DistortionReport, ReceiverStrategy
+from .fbl import FblCode, error_rates
+
+if TYPE_CHECKING:
+    from .cli import ScenarioFile
+
+
+@dataclass(frozen=True)
+class GateResult:
+    name: str
+    status: str  # PASS / FAIL / SKIP
+    detail: str
+
+
+def _judged(name: str, worst: float, tol: float, detail: str) -> GateResult:
+    """PASS when ``worst <= tol``, else FAIL: a nan fails."""
+    return GateResult(name, "PASS" if worst <= tol else "FAIL", detail)
+
+
+def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> GateResult:
+    size = scenario.codebook_size
+    if size <= 256:  # every (word, key) pair, key 0 standing for NULL_KEY
+        w, k = np.divmod(np.arange(size * size, dtype=np.uint64), np.uint64(size))
+        kind, checks = "exhaustive", size * size + size + 1
+    else:
+        n = 100_000
+        w = rng.integers(0, size, size=n, dtype=np.uint64)
+        k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
+        kind, checks = "randomized", n
+    s = encrypt_batch(w, k, size)
+    null = k == 0
+    bad_shift = (s == w) != null  # a key moves its word, NULL_KEY leaves it
+    bad_undo = decrypt_batch(s, k, size) != w  # decryption undoes both
+    # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
+    violations = (np.count_nonzero(bad_shift | bad_undo)
+                  + np.count_nonzero(bad_shift & bad_undo & null))
+    violations += ShiftCipher(size).decrypt(NULL_MSG, NULL_KEY) is not NULL_MSG
+    return _judged("cipher-identities", violations, 0,
+                   f"{violations} violations in {checks} {kind} checks (S={size})")
+
+
+def _worst_rel_diff(got, want) -> float:
+    """Largest |got - want| / max(1, |want|) over the arrays; nan if any term is."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def _rel_diff_gate(name: str, got, want, tol: float,
+                   detail: str = "max rel diff {worst:.3e} (tol {tol:g})") -> GateResult:
+    worst = _worst_rel_diff(got, want)
+    return _judged(name, worst, tol, detail.format(worst=worst, tol=tol))
+
+
+def _gate_channel_rows(eps_values: list[float]) -> GateResult:
+    rows, strays = [], []
+    for eps in eps_values:
+        rows += [primary_pmf(7, 7, eps) + primary_pmf(NULL_MSG, 7, eps),
+                 secondary_pmf(3, 3, eps) + secondary_pmf(NULL_KEY, 3, eps),
+                 secondary_pmf(NULL_KEY, NULL_KEY, eps)]
+        strays += [primary_pmf(8, 7, eps), secondary_pmf(4, 3, eps),
+                   secondary_pmf(3, NULL_KEY, eps)]
+    return _rel_diff_gate("channel-pmf-rows", rows + strays,
+                          [1.0] * len(rows) + [0.0] * len(strays), 1e-12,
+                          "max row-sum deviation {worst:.3e}")
+
+
+_GATE_STRATEGIES = (PERCEPTION, DROPPING, EXCLUSION, ReceiverStrategy(1 / 3, 1 / 3, 1 / 3))
+
+
+def _gate_enumeration(scenario: Scenario, eps_pairs: list[tuple[float, float]],
+                      reports: list[DistortionReport]) -> GateResult:
+    name = "closed-form-vs-enumeration"
+    if reason := distortion.enumeration_limit(scenario):
+        return GateResult(name, "SKIP", f"skipped: {reason}")
+    oracles = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
+    return _rel_diff_gate(name, [rep.total for rep in reports], np.ravel(oracles), 1e-10)
+
+
+def _gate_perception_reduction(scenario: Scenario, rng: np.random.Generator) -> GateResult:
+    perceived, pipelined = [], []
+    for _ in range(200):
+        alpha, eps_p, eps_s = rng.random(3)
+        sc = replace(scenario, alpha=float(alpha))
+        perceived.append(distortion.opportunistic_distortion(
+            sc, float(eps_p), float(eps_s), PERCEPTION
+        ).total)
+        pipelined.append(distortion.deterministic_pipeline_distortion(
+            sc, float(eps_p), float(eps_s)
+        ).total)
+    return _rel_diff_gate("perception-vs-pipeline", perceived, pipelined, 1e-12)
+
+
+def _gate_monte_carlo(scenario: Scenario, eps_p: float, eps_s: float, trials: int,
+                      seed: int) -> GateResult:
+    name = "closed-form-vs-monte-carlo"
+    children = np.random.SeedSequence(seed).spawn(len(_GATE_STRATEGIES) + 1)
+    best = strategy.optimal_receiver_strategy(distortion.delta_terms(scenario, eps_s)).strategy
+    sigmas = []
+    for child, strat in zip(children, _GATE_STRATEGIES + (best,)):
+        est = montecarlo.estimate_distortion(scenario, eps_p, eps_s, strat, trials,
+                                             int(child.generate_state(1, np.uint64)[0]))
+        closed = distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat).total
+        gap = abs(est.mean - closed)
+        # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
+        # the analytic bound keeps the gate meaningful when events are so
+        # rare that the empirical standard error collapses to zero, and
+        # judges one trial alone, whose standard error is nan.  Its root is
+        # taken factor by factor, as d_conf * mean can overflow.
+        se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
+        empirical = est.std_error if trials > 1 else 0.0
+        tol = 4.0 * max(empirical, se_bound) + 1e-12
+        verdict = _judged(name, gap, tol, f"|{est.mean:.6g} - {closed:.6g}| = "
+                          f"{gap:.3e} > tol={tol:.3e} at {trials} trials")
+        if verdict.status == "FAIL":  # the first strategy off its closed form
+            return verdict
+        # a strategy without a positive empirical standard error is
+        # measured in units of the bound it was judged by
+        scale = est.std_error if est.std_error > 0 else se_bound
+        if scale > 0:
+            sigmas.append(gap / scale)
+    return GateResult(name, "PASS", f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} "
+                      f"sigma over {len(_GATE_STRATEGIES) + 1} strategies at {trials} trials")
+
+
+def _gate_decomposition(scenario: Scenario, eps_pairs: list[tuple[float, float]],
+                        reports: list[DistortionReport]) -> GateResult:
+    reports = reports + [distortion.deterministic_pipeline_distortion(scenario, eps_p, eps_s)
+                         for eps_p, eps_s in eps_pairs]
+    return _rel_diff_gate("report-decomposition",
+                          [rep.loss_part + rep.confusion_part for rep in reports],
+                          [rep.total for rep in reports], 1e-12)
+
+
+def run_validation(loaded: ScenarioFile) -> list[GateResult]:
+    """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
+    scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
+    code = FblCode.from_scenario(scenario)
+    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
+    eps_bob, eps_eve = error_rates(code, snrs).tolist()
+    eps_pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
+    # the closed forms two gates judge, in the oracle's order flattened
+    reports = [distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)
+               for eps_p, eps_s in eps_pairs for strat in _GATE_STRATEGIES]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return [
+        _gate_cipher_identities(scenario, rng),
+        _gate_channel_rows([0.0, 0.25, 1.0, eps_bob, eps_eve]),
+        _gate_enumeration(scenario, eps_pairs, reports),
+        _gate_perception_reduction(scenario, rng),
+        _gate_monte_carlo(scenario, eps_bob, eps_bob, trials, seed),
+        _gate_decomposition(scenario, eps_pairs, reports),
+    ]

@@ -1,5 +1,6 @@
 """Command-line drivers: error-rate tables, receiver sweeps, activation-rate
-optimization, and an oracle-based self-check suite.
+optimization, and ``validate``, which runs the self-check suite of
+``pld.checks``.
 
 All tabular output is CSV (comma, dot-decimal, UTF-8, LF) with a fixed
 header; byte-identical for identical inputs and seed.  Exit codes: 0 on
@@ -21,17 +22,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import distortion, montecarlo, strategy
-from .channels import primary_pmf, secondary_pmf
-from .core import (
-    NULL_KEY,
-    NULL_MSG,
-    Scenario,
-    ScenarioError,
-    _is_int,
-    code_violations,
-)
-from .crypto import ShiftCipher, decrypt_batch, encrypt_batch
-from .distortion import DROPPING, EXCLUSION, PERCEPTION, ReceiverStrategy
+from .checks import run_validation
+from .core import Scenario, ScenarioError, _is_int, code_violations
 from .fbl import FblCode, error_rates
 
 def run_violations(d_max: float, mc_trials: int, seed: int) -> list[str]:
@@ -241,9 +233,8 @@ def _deception_blocks(loaded: ScenarioFile, bobs: np.ndarray, bob_eps: np.ndarra
 
     A search pass covers as many Bob rows as fit in ``_BLOCK`` cells.  An Eve
     axis longer than one block leaves room for one row a pass, so the rows
-    still come out in order; its text is then made again for each row.
+    still come out in order.  Each pass makes its Eve block's text.
     """
-    text = _eve_text(eves) if len(eve_curves) == 1 else None
     group = max(1, _BLOCK // len(eves))
     reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
     for rows in (slice(first, first + group) for first in range(0, len(bobs), group)):
@@ -251,7 +242,7 @@ def _deception_blocks(loaded: ScenarioFile, bobs: np.ndarray, bob_eps: np.ndarra
         spans = strategy.sublevel_intervals(curves, loaded.d_max)
         heads = [repr(snr) + "," for snr in bobs[rows].tolist()]
         for block, eve_block in enumerate(eve_curves):
-            cells, infeasible = text or _eve_text(eves[block * _BLOCK:][:_BLOCK])
+            cells, infeasible = _eve_text(eves[block * _BLOCK:][:_BLOCK])
             plans = strategy.deception_search(curves, spans, eve_block)
             for head, first, plan in zip(heads, spans[:, 0, 0].tolist(),
                                          plans.transpose(1, 0, 2)):
@@ -279,184 +270,6 @@ def cmd_optimize_alpha(args) -> int:
     blocks = _deception_blocks(loaded, bobs, bob_eps, eves, eve_curves)
     write_csv(header, blocks, args.out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# validation gates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GateResult:
-    name: str
-    status: str  # PASS / FAIL / SKIP
-    detail: str
-
-
-def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> GateResult:
-    size = scenario.codebook_size
-    if size <= 256:  # every (word, key) pair, key 0 standing for NULL_KEY
-        w, k = np.divmod(np.arange(size * size, dtype=np.uint64), np.uint64(size))
-        kind, checks = "exhaustive", size * size + size + 1
-    else:
-        n = 100_000
-        w = rng.integers(0, size, size=n, dtype=np.uint64)
-        k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
-        kind, checks = "randomized", n
-    s = encrypt_batch(w, k, size)
-    null = k == 0
-    bad_shift = (s == w) != null  # a key moves its word, NULL_KEY leaves it
-    bad_undo = decrypt_batch(s, k, size) != w  # decryption undoes both
-    # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
-    violations = (np.count_nonzero(bad_shift | bad_undo)
-                  + np.count_nonzero(bad_shift & bad_undo & null))
-    violations += ShiftCipher(size).decrypt(NULL_MSG, NULL_KEY) is not NULL_MSG
-    status = "PASS" if violations == 0 else "FAIL"
-    detail = f"{violations} violations in {checks} {kind} checks (S={size})"
-    return GateResult("cipher-identities", status, detail)
-
-
-def _worst_rel_diff(got, want) -> float:
-    """Largest |got - want| / max(1, |want|) over the arrays; nan if any term is."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
-
-
-def _gate_channel_rows(eps_values: list[float]) -> GateResult:
-    rows, strays = [], []
-    for eps in eps_values:
-        rows += [primary_pmf(7, 7, eps) + primary_pmf(NULL_MSG, 7, eps),
-                 secondary_pmf(3, 3, eps) + secondary_pmf(NULL_KEY, 3, eps),
-                 secondary_pmf(NULL_KEY, NULL_KEY, eps)]
-        strays += [primary_pmf(8, 7, eps), secondary_pmf(4, 3, eps),
-                   secondary_pmf(3, NULL_KEY, eps)]
-    worst = _worst_rel_diff(rows + strays, [1.0] * len(rows) + [0.0] * len(strays))
-    status = "PASS" if worst <= 1e-12 else "FAIL"
-    return GateResult("channel-pmf-rows", status, f"max row-sum deviation {worst:.3e}")
-
-
-def _rel_diff_gate(name: str, got, want, tol: float) -> GateResult:
-    worst = _worst_rel_diff(got, want)
-    status = "PASS" if worst <= tol else "FAIL"
-    return GateResult(name, status, f"max rel diff {worst:.3e} (tol {tol:g})")
-
-
-_GATE_STRATEGIES = (
-    PERCEPTION,
-    DROPPING,
-    EXCLUSION,
-    ReceiverStrategy(1 / 3, 1 / 3, 1 / 3),
-)
-
-
-def _gate_enumeration(
-    scenario: Scenario, eps_pairs: list[tuple[float, float]]
-) -> GateResult:
-    name = "closed-form-vs-enumeration"
-    if reason := distortion.enumeration_limit(scenario):
-        return GateResult(name, "SKIP", f"skipped: {reason}")
-    oracles = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
-    closed = [[distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat).total
-               for strat in _GATE_STRATEGIES] for eps_p, eps_s in eps_pairs]
-    return _rel_diff_gate(name, closed, oracles, 1e-10)
-
-
-def _gate_perception_reduction(
-    scenario: Scenario, rng: np.random.Generator
-) -> GateResult:
-    perceived, pipelined = [], []
-    for _ in range(200):
-        alpha, eps_p, eps_s = rng.random(3)
-        sc = replace(scenario, alpha=float(alpha))
-        perceived.append(distortion.opportunistic_distortion(
-            sc, float(eps_p), float(eps_s), PERCEPTION
-        ).total)
-        pipelined.append(distortion.deterministic_pipeline_distortion(
-            sc, float(eps_p), float(eps_s)
-        ).total)
-    return _rel_diff_gate("perception-vs-pipeline", perceived, pipelined, 1e-12)
-
-
-def _gate_monte_carlo(
-    scenario: Scenario,
-    eps_p: float,
-    eps_s: float,
-    trials: int,
-    seed: int,
-) -> GateResult:
-    children = np.random.SeedSequence(seed).spawn(len(_GATE_STRATEGIES) + 1)
-    best = strategy.optimal_receiver_strategy(
-        distortion.delta_terms(scenario, eps_s)
-    ).strategy
-    sigmas = []
-    for child, strat in zip(children, _GATE_STRATEGIES + (best,)):
-        est = montecarlo.estimate_distortion(
-            scenario,
-            eps_p,
-            eps_s,
-            strat,
-            trials,
-            int(child.generate_state(1, np.uint64)[0]),
-        )
-        closed = distortion.opportunistic_distortion(
-            scenario, eps_p, eps_s, strat
-        ).total
-        gap = abs(est.mean - closed)
-        # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
-        # the analytic bound keeps the gate meaningful when events are so
-        # rare that the empirical standard error collapses to zero, and
-        # judges one trial alone, whose standard error is nan.  Its root is
-        # taken factor by factor, as d_conf * mean can overflow.
-        se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
-        empirical = est.std_error if trials > 1 else 0.0
-        tol = 4.0 * max(empirical, se_bound) + 1e-12
-        if not gap <= tol:
-            return GateResult(
-                "closed-form-vs-monte-carlo",
-                "FAIL",
-                f"|{est.mean:.6g} - {closed:.6g}| = {gap:.3e} > "
-                f"tol={tol:.3e} at {trials} trials",
-            )
-        # a strategy without a positive empirical standard error is
-        # measured in units of the bound it was judged by
-        scale = est.std_error if est.std_error > 0 else se_bound
-        if scale > 0:
-            sigmas.append(gap / scale)
-    return GateResult(
-        "closed-form-vs-monte-carlo",
-        "PASS",
-        f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} sigma over "
-        f"{len(_GATE_STRATEGIES) + 1} strategies at {trials} trials",
-    )
-
-
-def _gate_decomposition(
-    scenario: Scenario, eps_pairs: list[tuple[float, float]]
-) -> GateResult:
-    reports = [distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)
-               for eps_p, eps_s in eps_pairs for strat in _GATE_STRATEGIES]
-    reports += [distortion.deterministic_pipeline_distortion(scenario, eps_p, eps_s)
-                for eps_p, eps_s in eps_pairs]
-    return _rel_diff_gate("report-decomposition",
-                          [rep.loss_part + rep.confusion_part for rep in reports],
-                          [rep.total for rep in reports], 1e-12)
-
-
-def run_validation(loaded: ScenarioFile) -> list[GateResult]:
-    """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
-    scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
-    code = FblCode.from_scenario(scenario)
-    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
-    eps_bob, eps_eve = error_rates(code, snrs).tolist()
-    eps_pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return [
-        _gate_cipher_identities(scenario, rng),
-        _gate_channel_rows([0.0, 0.25, 1.0, eps_bob, eps_eve]),
-        _gate_enumeration(scenario, eps_pairs),
-        _gate_perception_reduction(scenario, rng),
-        _gate_monte_carlo(scenario, eps_bob, eps_bob, trials, seed),
-        _gate_decomposition(scenario, eps_pairs),
-    ]
 
 
 def cmd_validate(args) -> int:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pld.checks
 import pld.cli
 import pld.distortion
 from pld.cli import ScenarioFile, load_scenario_file, main, snr_grid
@@ -594,9 +595,23 @@ def test_validate_fails_a_nan_oracle(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().out.splitlines())
 
 
+def test_validate_fails_a_nan_in_every_judged_gate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pld.checks, "_worst_rel_diff", lambda got, want: float("nan"))
+    path = write_doc(tmp_path, dict(BASE_DOC, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL channel-pmf-rows: max row-sum deviation nan",
+        "FAIL closed-form-vs-enumeration: max rel diff nan (tol 1e-10)",
+        "FAIL perception-vs-pipeline: max rel diff nan (tol 1e-12)",
+        "FAIL report-decomposition: max rel diff nan (tol 1e-12)",
+    ]
+    assert lines[-1] == "gates: 2 passed, 4 failed, 0 skipped"
+
+
 def test_validate_checks_the_batch_cipher_at_small_codebooks(tmp_path, capsys,
                                                              monkeypatch):
-    monkeypatch.setattr(pld.cli, "encrypt_batch",
+    monkeypatch.setattr(pld.checks, "encrypt_batch",
                         lambda words, keys, size, out=None: words.copy())
     path = write_doc(tmp_path, dict(BASE_DOC, mc_trials=20000))
     assert main(["validate", "--scenario", path]) == 1

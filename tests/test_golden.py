@@ -66,19 +66,26 @@ def test_cli_output_digest(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_validate_digest_at_enumerated_codebook(tmp_path):
+@pytest.mark.parametrize(
+    "size,digest",
+    [(257, "6012688008473d9be7add603772210e45c06001f0d122fa698fb86a861330f5e"),
+     (4096, "22400537705f08e4823111d0318f691c2076a5bb50554c7fba9271219ab6e351"),
+     (1 << 64, "6b5097e636cdf25bb2f23623f36b5d29bd8c654f92e10114666e09e999486b07")],
+    ids=["S=257", "S=4096", "S=2^64"],
+)
+def test_validate_digest_at_enumerated_codebook(tmp_path, size, digest):
     # small_codebook.json has S=2, one key to enumerate; S=257 gives the
-    # enumeration gate 256 keys per channel pair
+    # enumeration gate 256 keys per channel pair, S=4096 is the cap (the
+    # benchmark's validate input), and S=2^64 takes the gate's SKIP line
     spec = json.loads(Path(SMALL).read_text(encoding="utf-8"))
-    spec["codebook_size"] = 257
+    spec["codebook_size"] = size
     scenario = tmp_path / "small_codebook.json"
     scenario.write_text(json.dumps(spec), encoding="utf-8")
     out = tmp_path / "out.txt"
     argv = ["validate", "--scenario", str(scenario), "--trials", "20000",
             "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "6012688008473d9be7add603772210e45c06001f0d122fa698fb86a861330f5e")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_optimize_alpha_digest_at_extreme_magnitudes(tmp_path):
