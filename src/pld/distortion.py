@@ -9,11 +9,11 @@ recomputes the opportunistic distortion by brute-force summation over every
 (key, meaning, delivery, key-decode, estimate) combination, sharing nothing
 with the closed forms, so the two can police each other in tests.  It makes
 one O(S^2) pass per call, shared by every channel pair and strategy asked
-about: every key's cipher runs, a block of keys at a time on narrow
-integers, and its arithmetic is reused when its masks and key-channel
-probabilities repeat the previous key's.  The pass runs in scratch of fixed
-size, ~3 MB at the 4096 cap: one 512x512 distance block at a time, and
-buffers for a block of keys that every block reuses.
+about: every key's cipher runs, NULL_KEY as key 0, a block of keys at a
+time on narrow integers, and its arithmetic is reused when its masks and
+key-channel probabilities repeat the previous key's.  The pass runs in
+scratch of fixed size, ~3 MB at the 4096 cap: one 512x512 distance block at
+a time, and buffers for a block of keys that every block reuses.
 """
 from __future__ import annotations
 
@@ -243,10 +243,12 @@ def enumeration_oracle(
     every (eps_p, eps_s) pair and strategy; each total keeps its own
     expression and accumulator, so it does not depend on the others.
 
-    Every key's cipher runs, as the definition s = (w + k) mod S and its
-    inverse w = (s - k) mod S, with each residue in its floor-division form
-    x - S*(x // S), right for a negative s - k too.  The integers are the
-    narrowest signed dtype holding -(S-1) .. 2(S-1),
+    Keys 0 .. S-1 run in one loop, key 0 standing for NULL_KEY: prior
+    1 - alpha, shift 0 and never decoded, where a key k >= 1 has prior
+    alpha/(S-1).  Each key's cipher runs, as the definition s = (w + k) mod S
+    and its inverse w = (s - k) mod S, with each residue in its
+    floor-division form x - S*(x // S), right for a negative s - k too.  The
+    integers are the narrowest signed dtype holding -(S-1) .. 2(S-1),
     ``np.min_scalar_type(-2 * S)``: int16 at the cap.  ``KEY_BLOCK`` keys
     run as one 2-D pass, one row a key, in buffers allocated once a call
     and reused by every block: the three integer arrays and the two masks
@@ -282,22 +284,14 @@ def enumeration_oracle(
     weights = (b1, b2 * np.full(size, d_loss), b3)
     block = np.empty((len(strategies), size))  # scratch, one row a strategy
 
-    # Inactive deception: plaintext codeword, key channel pinned at NULL_KEY.
-    mix = _no_key_mixes(words == words, rowsum, weights, d_conf)
-    for row, (deliver, erasure, eps_s) in zip(totals, branches):
-        np.multiply(deliver * secondary_pmf(NULL_KEY, NULL_KEY, eps_s), mix, out=block)
-        block += erasure
-        row += (1.0 - scenario.alpha) * block.mean(axis=1)
-
-    key_weight = scenario.alpha / (size - 1)
     ciphertexts, decrypted, quotient = (
         np.empty((KEY_BLOCK, size), words.dtype) for _ in range(3))
     # Row 0 holds the key before the block, row i the block's i-th key.
-    # Before key 1 it holds the inactive term's all-True masks, which no
-    # key's seen mask matches, so key 1 runs whatever the placeholder pmfs.
-    seen, decoded = np.ones((2, KEY_BLOCK + 1, size), dtype=bool)
-    terms, pmfs = np.empty_like(totals), [[(0.0, 0.0)] * len(branches)]
-    for lo in range(1, size, KEY_BLOCK):
+    seen, decoded = np.zeros((2, KEY_BLOCK + 1, size), dtype=bool)
+    # Before key 0 the pmfs are nan, which match no key's, so key 0 runs.
+    key_prior = scenario.alpha / (size - 1)
+    terms, pmfs = np.empty_like(totals), [[(np.nan,) * 3] * len(branches)]
+    for lo in range(0, size, KEY_BLOCK):
         keys = range(lo, min(lo + KEY_BLOCK, size))
         n = len(keys)
         shift = np.array(keys, dtype=words.dtype)[:, None]
@@ -308,9 +302,12 @@ def enumeration_oracle(
         d -= np.multiply(np.floor_divide(d, size, out=q), size, out=q)
         np.equal(c, words, out=seen[1:n + 1])
         np.equal(d, words, out=decoded[1:n + 1])
-        pmfs = pmfs[-1:] + [
-            [(secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
-             for *_, eps_s in branches] for k in keys]
+        # (p(k), p(k decoded), p(k lost)) a channel pair; key 0 is NULL_KEY
+        pmfs = pmfs[-1:] + [[
+            (1.0 - scenario.alpha, 0.0, secondary_pmf(NULL_KEY, NULL_KEY, eps_s))
+            if k == 0 else
+            (key_prior, secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
+            for *_, eps_s in branches] for k in keys]
         # the pmfs compare bit for bit, so -0.0 differs from 0.0
         pmf_bits = np.array(pmfs).reshape(n + 1, -1).view(np.uint8)
         changed = (seen[1:n + 1] != seen[:n]).any(axis=1)
@@ -320,13 +317,13 @@ def enumeration_oracle(
             if changed[i - 1]:
                 d_decoded = np.where(decoded[i], 0.0, d_conf)
                 mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
-                for j, (p_decoded, p_lost) in enumerate(key_pmfs):
+                for j, (prior, p_decoded, p_lost) in enumerate(key_pmfs):
                     deliver, erasure, _ = branches[j]
                     np.multiply(p_lost, mix, out=block)
                     block += p_decoded * d_decoded
                     block *= deliver
                     block += erasure
-                    np.multiply(key_weight, block.mean(axis=1), out=terms[j])
+                    np.multiply(prior, block.mean(axis=1), out=terms[j])
             totals += terms
         seen[0], decoded[0] = seen[n], decoded[n]
     return totals

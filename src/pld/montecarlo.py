@@ -158,8 +158,9 @@ def estimate_distortion(
     The trial stream is split into fixed-size chunks, each with its own
     substream spawned from ``seed``.  Only integer outcome counts cross
     chunks, and the mean and standard error are computed from them in exact
-    rational arithmetic and rounded once, so the estimate is bit-identical
-    for any ``workers`` value.
+    rational arithmetic, the spread as the second moment less trials*mean^2,
+    and rounded once, so the estimate is bit-identical for any ``workers``
+    value.
     """
     if bad := trials_violations(trials):
         raise ValueError(bad[0])
@@ -184,18 +185,11 @@ def estimate_distortion(
 
     n_loss = sum(c[0] for c in counts)
     n_conf = sum(c[1] for c in counts)
-    n_zero = trials - n_loss - n_conf
     d_loss, d_conf = Fraction(scenario.d_loss), Fraction(scenario.d_conf)
     mean = (n_loss * d_loss + n_conf * d_conf) / trials
     if trials > 1:
-        # sum of (d - mean)^2: each pair of trials from two different
-        # outcome classes adds its squared gap over trials, so every term is
-        # non-negative and nothing cancels
-        spread = (
-            n_zero * n_loss * d_loss**2
-            + n_zero * n_conf * d_conf**2
-            + n_loss * n_conf * (d_conf - d_loss) ** 2
-        ) / trials
+        # sum of (d - mean)^2, exactly: the second moment less trials*mean^2
+        spread = n_loss * d_loss**2 + n_conf * d_conf**2 - trials * mean**2
         # scaled by d_conf so that the conversion to float cannot overflow
         scaled = spread / (d_conf**2 * trials * (trials - 1))
         std_error = scenario.d_conf * math.sqrt(scaled)

@@ -559,6 +559,23 @@ def test_validate_small_scenario_passes(tmp_path, capsys):
     assert lines[-1] == "gates: 6 passed, 0 failed, 0 skipped"
 
 
+def test_validate_evaluates_each_closed_form_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = pld.distortion.opportunistic_distortion
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pld.distortion, "opportunistic_distortion", counted)
+    path = write_doc(tmp_path, dict(BASE_DOC, mc_trials=2000))
+    assert main(["validate", "--scenario", path]) == 0
+    assert capsys.readouterr().out.endswith("gates: 6 passed, 0 failed, 0 skipped\n")
+    # 16 reports shared by three gates, the perception gate's 200 draws, and
+    # the Monte Carlo gate's optimal strategy
+    assert len(calls) == 16 + 200 + 1
+
+
 def test_validate_skips_enumeration_on_huge_codebook(tmp_path, capsys):
     path = str(SCENARIO_DIR / "large_codebook.json")
     assert main(["validate", "--scenario", path, "--trials", "20000",

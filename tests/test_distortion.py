@@ -479,7 +479,8 @@ def test_oracle_on_no_pairs_is_empty():
 
 # The oracle reuses a key's terms while its cipher masks and key-channel pmfs
 # repeat the previous key's; under the shift cipher every key k >= 1 repeats
-# key 1.  A key-dependent change must still reach that key's terms.
+# key 1.  A key-dependent change must still reach that key's terms.  Key 0,
+# NULL_KEY, opens the first block of keys.
 
 def _key_channel_patch(monkeypatch, eps_of_key):
     """Serve each key k >= 1 the key channel at eps_of_key(k, eps_s)."""
@@ -497,8 +498,8 @@ def test_oracle_sees_a_change_to_one_keys_channel(monkeypatch, factor):
     pairs = [(0.1, 0.2), (0.5, 0.5)]
     # a key inside the first block of keys, the first key of a later block,
     # and the last key, in a short block
-    for size, key in [(16, 2), (ENUMERATION_CAP, 1 + 3 * distortion.KEY_BLOCK),
-                      (ENUMERATION_CAP, ENUMERATION_CAP - 1)]:
+    for size, key in [(16, 2), (ENUMERATION_CAP, 3 * distortion.KEY_BLOCK),
+                      (ENUMERATION_CAP - 1, ENUMERATION_CAP - 2)]:
         sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
         plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
         moved = enumeration_oracle(sc, [(0.5, 0.5 * factor)], PINNED_STRATEGIES)[0]
@@ -516,6 +517,31 @@ def test_oracle_sees_a_change_to_one_keys_channel(monkeypatch, factor):
         # the key carries 1/(S-1) of the active mass; the inactive term has no key
         share = (moved - plain[1]) / (size - 1)
         assert patched[1] == pytest.approx(plain[1] + share, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 16, ENUMERATION_CAP])
+def test_oracle_sees_a_change_to_the_null_keys_channel(monkeypatch, size):
+    pairs = [(0.1, 0.2), (0.5, 0.5)]
+    original = distortion.secondary_pmf
+
+    def patched(k_hat, k, eps_s):
+        p = original(k_hat, k, eps_s)
+        return p / 2 if (k_hat, k, eps_s) == (NULL_KEY, NULL_KEY, 0.5) else p
+
+    # at alpha = 0 only NULL_KEY has a prior, so the total is its term alone
+    sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
+    inactive = replace(sc, alpha=0.0)
+    plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    plain_inactive = enumeration_oracle(inactive, pairs, PINNED_STRATEGIES)
+    monkeypatch.setattr(distortion, "secondary_pmf", patched)
+    got = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
+    got_inactive = enumeration_oracle(inactive, pairs, PINNED_STRATEGIES)
+    assert got[0].tobytes() == plain[0].tobytes()
+    # perception reads NULL_KEY's plaintext codeword, costing nothing
+    assert list(got[1] != plain[1]) == [False, True, True, True, True]
+    # only the (1 - alpha) share moves
+    share = (1.0 - sc.alpha) * (got_inactive[1] - plain_inactive[1])
+    assert got[1] == pytest.approx(plain[1] + share, rel=1e-12)
 
 
 def test_oracle_with_every_keys_channel_changed_is_that_channel(monkeypatch):

@@ -304,6 +304,36 @@ def test_draw_stream_is_pinned(cell, pinned):
     assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
 
 
+#: (codebook, d_loss, d_conf, trials, (n_loss, n_conf) a chunk) -> float.hex()
+#: of (mean, std_error), recorded before the spread became the exact second
+#: moment less trials*mean^2 (it was a pairwise sum over outcome classes).
+PINNED_COUNTS = [
+    ((2, 1.3, 5.0, 1000, (137, 211)),  # all three outcome classes
+     ("0x1.3bac710cb295fp+0", "0x1.02bab0befcb3bp-4")),
+    ((2, 1.3, 5.0, 2, (1, 1)), ("0x1.9333333333333p+1", "0x1.d99999999999ap+0")),
+    ((2, 1.3, 5.0, 2, (0, 1)), ("0x1.4000000000000p+1", "0x1.4000000000000p+1")),
+    ((2, 1.3, 5.0, 500, (0, 0)), ("0x0.0p+0", "0x0.0p+0")),  # every trial alike
+    ((2, 1.3, 5.0, 500, (500, 0)), ("0x1.4cccccccccccdp+0", "0x0.0p+0")),
+    ((2, 1.0, 1e200, 1000, (300, 7)),
+     ("0x1.2ba953c461aafp+657", "0x1.c3aed6607f5cep+655")),
+    ((3, 0.1, 1e200, CHUNK_TRIALS, (123456, 98765)),
+     ("0x1.f80496b7fc263p+661", "0x1.71e165c5d4de1p+653")),
+    ((5, 1.3, 5.0, 2 * CHUNK_TRIALS, (1000, 2000)),  # two chunks' counts
+     ("0x1.6120000000000p-6", "0x1.40c4f6868e9e9p-12")),
+    ((17, 0.1, 1 / 3, 999_983, (123_457, 33_331)),
+     ("0x1.804f682e02785p-5", "0x1.6f768ede0a6c9p-14")),
+]
+
+
+@pytest.mark.parametrize("cell, pinned", PINNED_COUNTS)
+def test_std_error_is_pinned_bit_for_bit(monkeypatch, cell, pinned):
+    size, d_loss, d_conf, trials, counts = cell
+    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda batch, strategy: counts)
+    sc = Scenario(codebook_size=size, d_loss=d_loss, d_conf=d_conf, alpha=0.5)
+    est = estimate_distortion(sc, 0.1, 0.2, PERCEPTION, trials, seed=1)
+    assert (est.mean.hex(), est.std_error.hex()) == pinned
+
+
 def test_worker_count_does_not_change_the_estimate():
     sc = make_scenario(size=4, alpha=0.5)
     trials = 3 * CHUNK_TRIALS + 1000
