@@ -1,4 +1,4 @@
-"""Shift cipher over the codebook and the deception key prior.
+"""Shift cipher over the codebook.
 
 Encryption shifts a codeword by a key drawn from {1, ..., S-1}, so an active
 key always moves the codeword (f_k(w) != w), while NULL_KEY leaves it alone.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NULL_KEY, NULL_MSG, Key, Scenario, Symbol
+from .core import NULL_KEY, NULL_MSG, Key, Symbol
 
 _FULL_UINT64 = 1 << 64
 _HALF_UINT64 = 1 << 63
@@ -118,24 +118,3 @@ def decrypt_batch(
         np.minimum(diff, diff + m, out=diff)
     return diff
 
-
-# ---------------------------------------------------------------------------
-# key prior
-# ---------------------------------------------------------------------------
-
-def sample_keys(
-    rng: np.random.Generator,
-    scenario: Scenario,
-    size: int,
-    uniform: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch key draws as (uint64 values, active mask); inactive slots hold 0.
-
-    The activation draw lands in ``uniform`` when given (float64, ``size``
-    long), so a caller can reuse one buffer for all its uniform draws.
-    """
-    active = rng.random(size, out=uniform) < scenario.alpha
-    values = rng.integers(0, scenario.codebook_size - 1, size=size, dtype=np.uint64)
-    values += np.uint64(1)
-    values *= active
-    return values, active

@@ -3,16 +3,20 @@
 Every trial walks the whole chain — draw meaning and key, encrypt, push
 through both transport channels, let the receiver decrypt or fall back on
 its perception/dropping/exclusion mix — and scores the realized semantic
-distortion.  The kernel (``simulate_batch``) draws one chunk of trials on
-uint64 arrays, and ``_count_outcomes`` reduces it, in cache-sized blocks, to
-two integer outcome counts, lost and confused, since distortion only takes
-the values 0, ``d_loss`` and ``d_conf``.  The mean and standard error follow
-exactly from the summed counts, so a given seed yields bit-identical results
-for any worker count.
+distortion.  The kernel (``simulate_batch``) draws one chunk's messages and
+keys on uint64 arrays and places the PCG64 streams of its other five draws
+by jumping ahead; ``_count_outcomes`` draws those in cache-sized blocks and
+reduces each block to two integer outcome counts, lost and confused, since
+distortion only takes the values 0, ``d_loss`` and ``d_conf``.  Every output
+lands where the whole-chunk draw order puts it, so the stream does not
+depend on the block size.  The mean and standard error follow exactly from
+the summed counts, so a given seed yields bit-identical results for any
+worker count.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +30,8 @@ from .distortion import ReceiverStrategy
 #: Trials per reduction chunk; one substream and one pair of counts per chunk.
 CHUNK_TRIALS = 1 << 19
 
-#: Trials per block of ``_count_outcomes``; its scratch, about 0.3 MB, stays
-#: in cache.  The counts do not depend on it.
+#: Trials per block of ``_count_outcomes``; its draws and scratch, about
+#: 0.8 MB, stay in cache.  The counts do not depend on it.
 BLOCK_TRIALS = 1 << 14
 
 #: Most trials one estimate takes: 2^17 chunks, about 64 MB of substream seeds.
@@ -51,17 +55,38 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """One chunk's draws; a NULL_KEY slot holds key 0, the cipher's encoding
-    of NULL_KEY, and ``key_decoded`` False.  ``exclusion_draw`` is uniform
-    over [0, S-2]; ``_count_outcomes`` shifts it past the ciphertext."""
+    """One chunk: the two draws held whole, and where the other five start.
+
+    ``key`` holds every trial's key in [1, S-1] before the activation draw
+    masks it.  ``after_message`` and ``after_key`` are the PCG64 states at
+    the end of the message and key draws; ``_draw_blocks`` places the other
+    five draws from them, so a batch can be walked more than once.
+    """
 
     codebook_size: int
+    alpha: float
+    eps_p: float
+    eps_s: float
     message: np.ndarray
     key: np.ndarray
-    delivered: np.ndarray
-    key_decoded: np.ndarray
-    branch_u: np.ndarray
-    exclusion_draw: np.ndarray
+    after_message: dict
+    after_key: dict
+
+
+def _generator(state: dict, ahead: int = 0) -> np.random.Generator:
+    """A generator ``ahead`` 64-bit outputs past ``state``, with its spare half.
+
+    ``advance`` clears the spare 32-bit half that ``integers`` keeps for
+    ranges up to 2^32.  Uniform draws never read it, so a segment starts
+    with the half left by the last integer draw before it.
+    """
+    bitgen = np.random.PCG64(0)  # a fixed seed skips OS entropy; the state replaces it
+    bitgen.state = state
+    if ahead:
+        bitgen.advance(ahead)
+        spare = {"has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+        bitgen.state = {**bitgen.state, **spare}
+    return np.random.Generator(bitgen)
 
 
 def simulate_batch(
@@ -71,54 +96,90 @@ def simulate_batch(
     eps_s: float,
     size: int,
 ) -> TrialBatch:
-    """One chunk of pipeline draws on uint64 arrays, in a fixed draw order.
+    """One chunk's messages and keys on uint64 arrays, in a fixed draw order.
 
-    Branch and exclusion randomness is drawn for every trial (and discarded
-    where unused) to keep the stream layout independent of the outcomes.
-    The four uniform draws take turns in one buffer, each turned into its
-    mask before the next; the last one stays as ``branch_u``.
+    The stream holds, in order: the messages, the activation uniforms, the
+    keys, then the delivery, key-decoding and branch uniforms and the
+    exclusion draws.  Branch and exclusion randomness is drawn for every
+    trial (and discarded where unused) to keep that layout independent of
+    the outcomes.  A uniform takes one output, so each later segment starts
+    a known number of outputs past the end of an integer draw; an integer
+    draw can reject and take more, so only ``message`` and ``key`` are
+    drawn here, whole.  ``rng`` itself draws only ``message``, and must run
+    on PCG64, whose ``advance`` counts the outputs that the layout counts.
     """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(
+            f"simulate_batch needs a PCG64 bit generator, got {type(bitgen).__name__}"
+        )
     cardinality = scenario.codebook_size
-    uniform = np.empty(size)
-    w = rng.integers(0, cardinality, size=size, dtype=np.uint64)
-    key_vals, key_active = crypto.sample_keys(rng, scenario, size, uniform)
-    delivered = channels.delivery_mask(rng, eps_p, size, uniform)
-    key_decoded = channels.delivery_mask(rng, eps_s, size, uniform)
-    key_decoded &= key_active
-    branch_u = rng.random(size, out=uniform)
-    excl = rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
-    return TrialBatch(cardinality, w, key_vals, delivered, key_decoded, branch_u, excl)
+    message = rng.integers(0, cardinality, size=size, dtype=np.uint64)
+    after_message = bitgen.state
+    key_rng = _generator(after_message, size)  # past the activation uniforms
+    key = key_rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
+    key += np.uint64(1)
+    return TrialBatch(cardinality, scenario.alpha, eps_p, eps_s, message, key,
+                      after_message, key_rng.bit_generator.state)
+
+
+def _draw_blocks(batch: TrialBatch) -> Iterator[tuple[np.ndarray, ...]]:
+    """The chunk's draws, ``BLOCK_TRIALS`` trials at a time.
+
+    Yields (message, key, delivered, key_decoded, branch_u, exclusion_draw)
+    per block.  A NULL_KEY slot holds key 0, the cipher's encoding of
+    NULL_KEY, and ``key_decoded`` False; ``exclusion_draw`` is uniform over
+    [0, S-2].  The key and uniform blocks are buffers that the next block
+    overwrites.
+    """
+    size, cardinality = batch.message.size, batch.codebook_size
+    activation = _generator(batch.after_message)
+    delivery, decoding, branch, exclusion = (
+        _generator(batch.after_key, i * size) for i in range(4)
+    )
+    block = min(BLOCK_TRIALS, size)
+    uniform, key, active = np.empty(block), np.empty(block, np.uint64), np.empty(block, bool)
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        if hi - lo < block:  # the last, short block
+            uniform, key, active = uniform[: hi - lo], key[: hi - lo], active[: hi - lo]
+        np.less(activation.random(out=uniform), batch.alpha, out=active)
+        np.multiply(batch.key[lo:hi], active, out=key)
+        delivered = channels.delivery_mask(delivery, batch.eps_p, hi - lo, uniform)
+        key_decoded = channels.delivery_mask(decoding, batch.eps_s, hi - lo, uniform)
+        key_decoded &= active
+        branch.random(out=uniform)
+        excl = exclusion.integers(0, cardinality - 1, size=hi - lo, dtype=np.uint64)
+        yield batch.message[lo:hi], key, delivered, key_decoded, uniform, excl
 
 
 def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int, int]:
     """(n_loss, n_conf): trials whose estimate is NULL_MSG, and wrong ones.
 
-    The chunk is walked in blocks of ``BLOCK_TRIALS`` with scratch arrays of
-    one block, so the cipher and branch arithmetic stays in cache and the
-    whole-chunk ciphertext and exclusion picks are never built.
+    The chunk is drawn and counted in blocks of ``BLOCK_TRIALS`` with scratch
+    arrays of one block, so the draws, the cipher and the branch arithmetic
+    stay in cache and no whole-chunk mask, ciphertext or exclusion pick is
+    ever built.
     """
-    size, cardinality = batch.message.size, batch.codebook_size
+    cardinality = batch.codebook_size
     b1, b12 = strategy.beta1, strategy.beta1 + strategy.beta2
-    block = min(BLOCK_TRIALS, size)
+    block = min(BLOCK_TRIALS, batch.message.size)
     s, t = np.empty(block, np.uint64), np.empty(block, np.uint64)
     synced, fallback, seen, excluded, wrong = np.empty((5, block), dtype=bool)
     n_loss = n_conf = 0
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        if hi - lo < block:  # the last, short block
+    for w, k, delivered, key_decoded, u, x in _draw_blocks(batch):
+        if w.size < block:  # the last, short block
             s, t, synced, fallback, seen, excluded, wrong = (
-                a[: hi - lo] for a in (s, t, synced, fallback, seen, excluded, wrong)
+                a[: w.size] for a in (s, t, synced, fallback, seen, excluded, wrong)
             )
-        w, k, x = batch.message[lo:hi], batch.key[lo:hi], batch.exclusion_draw[lo:hi]
-        delivered, u = batch.delivered[lo:hi], batch.branch_u[lo:hi]
         # branch masks; seen and excluded are disjoint parts of fallback
-        np.logical_and(delivered, batch.key_decoded[lo:hi], out=synced)
+        np.logical_and(delivered, key_decoded, out=synced)
         np.logical_xor(delivered, synced, out=fallback)
         np.less(u, b1, out=seen)
         seen &= fallback
         np.greater_equal(u, b12, out=excluded)
         excluded &= fallback
-        n_loss += hi - lo - np.count_nonzero(delivered)
+        n_loss += w.size - np.count_nonzero(delivered)
         n_loss += (
             np.count_nonzero(fallback)
             - np.count_nonzero(seen)

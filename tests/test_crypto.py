@@ -1,16 +1,11 @@
-"""Shift cipher identities and key-prior sampling."""
+"""Shift cipher identities, scalar and on uint64 batches."""
 import numpy as np
 import pytest
 
-from pld.core import NULL_KEY, NULL_MSG, Scenario
-from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch, sample_keys
+from pld.core import NULL_KEY, NULL_MSG
+from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch
 
 FULL = 1 << 64
-
-
-def scenario_with(codebook_size, alpha):
-    return Scenario(codebook_size=codebook_size, d_loss=1.0, d_conf=10.0,
-                    alpha=alpha)
 
 
 def test_encrypt_identities():
@@ -58,36 +53,6 @@ def test_input_validation():
         cipher.decrypt(3, 9)
     with pytest.raises(ValueError):
         ShiftCipher(1)
-
-
-def test_sample_keys_degenerate_rates():
-    rng = np.random.default_rng(0)
-    values, active = sample_keys(rng, scenario_with(8, 0.0), 50)
-    assert not active.any()
-    assert np.all(values == 0)
-    values, active = sample_keys(rng, scenario_with(2, 1.0), 50)
-    assert active.all()
-    assert np.all(values == 1)
-
-
-def test_sample_keys_activation_frequency():
-    rng = np.random.default_rng(7)
-    n = 1_000_000
-    values, active = sample_keys(rng, scenario_with(FULL, 0.99), n)
-    freq_null = 1.0 - active.mean()
-    assert abs(freq_null - 0.01) <= 4.0 * np.sqrt(0.01 * 0.99 / n)
-    assert values[~active].max(initial=0) == 0
-    assert values[active].min() >= 1
-
-
-def test_sample_keys_uniform_over_keyspace():
-    rng = np.random.default_rng(11)
-    n = 300_000
-    values, active = sample_keys(rng, scenario_with(4, 1.0), n)
-    assert active.all()
-    for k in (1, 2, 3):
-        freq = (values == k).mean()
-        assert abs(freq - 1 / 3) <= 4.0 * np.sqrt((1 / 3) * (2 / 3) / n)
 
 
 def test_batch_matches_scalar_cipher():

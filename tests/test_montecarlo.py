@@ -24,6 +24,7 @@ from pld.montecarlo import (
     McEstimate,
     TrialBatch,
     _count_outcomes,
+    _draw_blocks,
     estimate_distortion,
     simulate_batch,
 )
@@ -34,6 +35,15 @@ CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 
 def make_scenario(size=2, alpha=0.99):
     return Scenario(codebook_size=size, d_loss=1.0, d_conf=10.0, alpha=alpha)
+
+
+DRAWS = ["message", "key", "delivered", "key_decoded", "branch_u", "exclusion_draw"]
+
+
+def drawn(batch):
+    """A batch's per-trial draws, as the block walk makes them, joined by field."""
+    blocks = [[a.copy() for a in block] for block in _draw_blocks(batch)]
+    return {name: np.concatenate(parts) for name, parts in zip(DRAWS, zip(*blocks))}
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +107,8 @@ def test_impossible_channel_rejected_before_any_draw(monkeypatch, label, bad):
 
 def test_records_hold_results_only():
     assert [f.name for f in fields(TrialBatch)] == [
-        "codebook_size", "message", "key", "delivered", "key_decoded", "branch_u",
-        "exclusion_draw",
+        "codebook_size", "alpha", "eps_p", "eps_s", "message", "key",
+        "after_message", "after_key",
     ]
     assert [f.name for f in fields(McEstimate)] == ["mean", "std_error"]
 
@@ -106,14 +116,14 @@ def test_records_hold_results_only():
 def test_batch_pipeline_invariants():
     sc = make_scenario(size=4, alpha=0.6)
     rng = np.random.default_rng(99)
-    batch = simulate_batch(rng, sc, 0.3, 0.4, 20000)
+    batch = drawn(simulate_batch(rng, sc, 0.3, 0.4, 20000))
 
-    assert batch.message.max() < 4
-    assert batch.key.max() <= 3
+    assert batch["message"].max() < 4
+    assert batch["key"].max() <= 3
     # a key can only be decoded if one was actually sent (key 0 is NULL_KEY)
-    assert not np.any(batch.key_decoded & (batch.key == 0))
+    assert not np.any(batch["key_decoded"] & (batch["key"] == 0))
     # exclusion guesses among the S-1 codewords other than the one received
-    assert batch.exclusion_draw.max() < 3
+    assert batch["exclusion_draw"].max() < 3
 
 
 @pytest.mark.parametrize("size", [2, 4, 2**63 + 11, 1 << 64])
@@ -123,15 +133,16 @@ def test_outcome_counts_match_per_trial_scoring(size):
     sc = make_scenario(size=size, alpha=0.6)
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
     batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
+    draws = drawn(batch)
     cipher = ShiftCipher(size)
     n_loss = n_conf = 0
     for i in range(batch.message.size):
-        w, k = int(batch.message[i]), int(batch.key[i])
+        w, k = int(draws["message"][i]), int(draws["key"][i])
         s = cipher.encrypt(w, NULL_KEY if k == 0 else k)
-        u = batch.branch_u[i]
-        if not batch.delivered[i]:
+        u = draws["branch_u"][i]
+        if not draws["delivered"][i]:
             w_hat = NULL_MSG
-        elif batch.key_decoded[i]:
+        elif draws["key_decoded"][i]:
             w_hat = cipher.decrypt(s, k)
         elif u < strat.beta1:
             w_hat = s
@@ -139,15 +150,12 @@ def test_outcome_counts_match_per_trial_scoring(size):
             w_hat = NULL_MSG
         else:
             # the draw numbers the codewords other than s in increasing order
-            draw = int(batch.exclusion_draw[i])
+            draw = int(draws["exclusion_draw"][i])
             w_hat = draw if draw < s else draw + 1
         d = distance(w, w_hat, sc)
         n_loss += d == sc.d_loss
         n_conf += d == sc.d_conf
     assert _count_outcomes(batch, strat) == (n_loss, n_conf)
-
-
-BATCH_FIELDS = [f.name for f in fields(TrialBatch)]
 
 
 @pytest.mark.parametrize("size", [1, 20000, CHUNK_TRIALS + 12345])
@@ -159,20 +167,23 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
 
     def run():
         batch = simulate_batch(np.random.default_rng(31), sc, 0.3, 0.4, size)
-        return _count_outcomes(batch, strat), batch
+        return _count_outcomes(batch, strat), drawn(batch)
 
     want, ref = run()
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
-    got, batch = run()
+    got, draws = run()
     assert got == want
-    for field in BATCH_FIELDS:
-        assert np.array_equal(getattr(batch, field), getattr(ref, field)), field
+    for name in DRAWS:
+        assert np.array_equal(draws[name], ref[name]), name
 
 
 @pytest.mark.parametrize("codebook", [4, 2**63 + 7, 1 << 64])
-def test_chunk_allocates_at_most_40_bytes_per_trial(codebook):
-    """The draws (34 B/trial) plus block scratch; no whole-chunk temporaries."""
+def test_chunk_allocates_at_most_20_bytes_per_trial(codebook):
+    """Messages and keys (16 B/trial) plus block scratch; no other whole-chunk
+    array.  A one-trial chunk first loads numpy.random's lazily imported
+    modules (~0.75 MB), which are no part of a chunk's cost."""
     sc = make_scenario(size=codebook, alpha=0.6)
+    _count_outcomes(simulate_batch(np.random.default_rng(5), sc, 0.3, 0.4, 1), CENTER)
     tracemalloc.start()
     try:
         batch = simulate_batch(np.random.default_rng(5), sc, 0.3, 0.4, CHUNK_TRIALS)
@@ -180,30 +191,75 @@ def test_chunk_allocates_at_most_40_bytes_per_trial(codebook):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / CHUNK_TRIALS <= 40
+    assert peak / CHUNK_TRIALS <= 20
 
 
 def test_branch_frequencies_match_their_probabilities():
     """Branch shares checked one by one: errors that cancel in the mean show here."""
     alpha, eps_p, eps_s = 0.6, 0.3, 0.4
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
-    batch = simulate_batch(
+    batch = drawn(simulate_batch(
         np.random.default_rng(23), make_scenario(size=4, alpha=alpha), eps_p, eps_s,
         CHUNK_TRIALS,
-    )
+    ))
 
     def within_4_sigma(mask, p):
         n = mask.size
         return abs(np.count_nonzero(mask) / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
-    assert within_4_sigma(~batch.delivered, eps_p)
-    assert within_4_sigma(batch.key != 0, alpha)
-    assert within_4_sigma(batch.key_decoded, alpha * (1 - eps_s))
-    u = batch.branch_u[batch.delivered & ~batch.key_decoded]
+    assert within_4_sigma(~batch["delivered"], eps_p)
+    assert within_4_sigma(batch["key"] != 0, alpha)
+    assert within_4_sigma(batch["key_decoded"], alpha * (1 - eps_s))
+    u = batch["branch_u"][batch["delivered"] & ~batch["key_decoded"]]
     b1, b12 = strat.beta1, strat.beta1 + strat.beta2
     assert within_4_sigma(u < b1, strat.beta1)
     assert within_4_sigma((u >= b1) & (u < b12), strat.beta2)
     assert within_4_sigma(u >= b12, strat.beta3)
+
+
+def walked_keys(codebook, alpha, size, rng):
+    """The keys of one batch's trials, 0 in NULL_KEY slots, and the raw keys."""
+    batch = simulate_batch(rng, make_scenario(size=codebook, alpha=alpha), 0.0, 0.0,
+                           size)
+    return np.concatenate([block[1].copy() for block in _draw_blocks(batch)]), batch.key
+
+
+def test_key_draws_degenerate_rates():
+    rng = np.random.default_rng(0)
+    keys, _ = walked_keys(8, 0.0, 50, rng)
+    assert np.all(keys == 0)
+    keys, _ = walked_keys(2, 1.0, 50, rng)
+    assert np.all(keys == 1)
+
+
+def test_key_draws_activation_frequency():
+    n = 1_000_000
+    keys, raw = walked_keys(1 << 64, 0.99, n, np.random.default_rng(7))
+    active = keys != 0
+    freq_null = 1.0 - active.mean()
+    assert abs(freq_null - 0.01) <= 4.0 * np.sqrt(0.01 * 0.99 / n)
+    assert raw.min() >= 1
+    assert np.array_equal(keys[active], raw[active])
+
+
+def test_key_draws_uniform_over_keyspace():
+    n = 300_000
+    keys, _ = walked_keys(4, 1.0, n, np.random.default_rng(11))
+    assert np.all(keys != 0)
+    for k in (1, 2, 3):
+        freq = (keys == k).mean()
+        assert abs(freq - 1 / 3) <= 4.0 * np.sqrt((1 / 3) * (2 / 3) / n)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937,
+                                           np.random.SFC64, np.random.PCG64DXSM])
+def test_bit_generator_other_than_pcg64_rejected_before_any_draw(bit_generator):
+    """The draws are placed by counting PCG64 outputs; Philox's ``advance``,
+    for one, counts 256-bit blocks."""
+    rng = np.random.Generator(bit_generator(1))
+    with pytest.raises(TypeError, match=bit_generator.__name__):
+        simulate_batch(rng, make_scenario(), 0.1, 0.1, 10)
+    assert rng.random() == np.random.Generator(bit_generator(1)).random()
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +347,19 @@ PINNED = [
      (0.8605322445693798, 0.0018522438588318157)),
     ((1 << 64, 0.5, 0.5, 0.5, EXCLUSION, CHUNK_TRIALS, 108),
      (4.123319625854492, 0.0033448356955655257)),
+    # Recorded before the chunk was drawn block by block.  At S = 4096 the
+    # integer draws take 32-bit halves; at 2^32 + 1 the messages take the
+    # 64-bit path and the keys and exclusion draws whole 32-bit halves; at
+    # 2^63 + 7 every integer draw takes the 64-bit path and rejects about
+    # half its outputs.  The odd trial counts leave a spare 32-bit half.
+    ((4096, 0.6, 0.3, 0.4, CENTER, 200_001, 109),
+     (2.784991075044625, 0.00563165571368637)),
+    ((4096, 0.99, 0.1, 0.2, EXCLUSION, CHUNK_TRIALS + 4097, 110),
+     (1.6077481381946876, 0.003760404259530924)),
+    (((1 << 32) + 1, 0.7, 0.2, 0.35, CENTER, CHUNK_TRIALS + 12_347, 111),
+     (2.5125550886542993, 0.0036452200764253285)),
+    (((1 << 63) + 7, 0.5, 0.3, 0.4, CENTER, 99_999, 112),
+     (2.873928739287393, 0.007938428843832458)),
 ]
 
 
