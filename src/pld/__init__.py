@@ -7,22 +7,13 @@ expected distortions, an exhaustive-enumeration oracle, a Monte Carlo
 simulator of the full pipeline, and exact optimizers for the receiver's
 option mix and the transmitter's activation rate.
 """
-from .core import (
-    NULL_KEY,
-    NULL_MSG,
-    Scenario,
-    ScenarioError,
-    distance,
-)
-from .crypto import ShiftCipher
+from .core import NULL_KEY, NULL_MSG, Scenario, ScenarioError
 from .distortion import (
     DeltaTerms,
     DistortionReport,
     ReceiverStrategy,
     delta_terms,
     deterministic_pipeline_distortion,
-    distortion_mismatched_key,
-    distortion_synchronized_key,
     enumeration_oracle,
     opportunistic_distortion,
 )
@@ -49,12 +40,8 @@ __all__ = [
     "ReceiverStrategy",
     "Scenario",
     "ScenarioError",
-    "ShiftCipher",
     "delta_terms",
     "deterministic_pipeline_distortion",
-    "distance",
-    "distortion_mismatched_key",
-    "distortion_synchronized_key",
     "enumeration_oracle",
     "error_rates",
     "estimate_distortion",

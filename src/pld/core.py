@@ -156,13 +156,3 @@ def scenario_violations(s: Scenario) -> list[str]:
                        f"still fits a float, got {snr!r}")
     return bad
 
-
-def distance(w: int, w_hat: Symbol, scenario: Scenario) -> float:
-    """Semantic distance d(w, w_hat): 0 exact, d_loss erased, d_conf wrong."""
-    if w is NULL_MSG:
-        raise ValueError("true meaning cannot be the error flag NULL_MSG")
-    if w_hat is NULL_MSG:
-        return scenario.d_loss
-    if w_hat == w:
-        return 0.0
-    return scenario.d_conf

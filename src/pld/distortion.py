@@ -1,19 +1,20 @@
 """Closed-form semantic distortion quantities and a full-enumeration oracle.
 
-The closed forms give the end-to-end expected distortion for a receiver that
-decrypts with whatever key material arrives: exact-key and mismatched-key
-conditionals, the deterministic decrypt-always pipeline, and the
-opportunistic receiver that mixes its three fallback options (perception /
-dropping / exclusion) when no key is decoded.  ``enumeration_oracle``
-recomputes the opportunistic distortion by brute-force summation over every
-(key, meaning, delivery, key-decode, estimate) combination, sharing nothing
-with the closed forms, so the two can police each other in tests.  It makes
-one O(S^2) pass per call, shared by every channel pair and strategy asked
-about: every key's cipher runs, NULL_KEY as key 0, a block of keys at a
-time on narrow integers, and its arithmetic is reused when its masks and
-key-channel probabilities repeat the previous key's.  The pass runs in
-scratch of fixed size, ~3 MB at the 4096 cap: one 512x512 distance block at
-a time, and buffers for a block of keys that every block reuses.
+The closed forms give the end-to-end expected distortion of two receivers:
+the deterministic pipeline, which decrypts with whatever key material
+arrives, and the opportunistic receiver, which decrypts with a decoded key
+and otherwise mixes its three fallback options (perception / dropping /
+exclusion), each option's cost given delivery being a delta term.
+``enumeration_oracle`` recomputes the opportunistic distortion by
+brute-force summation over every (key, meaning, delivery, key-decode,
+estimate) combination, sharing nothing with the closed forms, so the two can
+police each other in tests.  It makes one O(S^2) pass per call, shared by
+every channel pair and strategy asked about: every key's cipher runs,
+NULL_KEY as key 0, a block of keys at a time on narrow integers, and its
+arithmetic is reused when its masks and key-channel probabilities repeat the
+previous key's.  The pass runs in scratch of fixed size, ~3 MB at the 4096
+cap: one 512x512 distance block at a time, and buffers for a block of keys
+that every block reuses.
 """
 from __future__ import annotations
 
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _check_eps, primary_pmf, secondary_pmf
-from .core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Key, Scenario
-
-
-def _check_key(k: Key, codebook_size: int, label: str) -> None:
-    if k is NULL_KEY:
-        return
-    if not 1 <= k < codebook_size:
-        raise ValueError(f"{label}={k!r} outside [1, {codebook_size})")
+from .core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Scenario
 
 
 @dataclass(frozen=True)
@@ -82,36 +76,6 @@ class DistortionReport:
     total: float
     loss_part: float
     confusion_part: float
-
-
-def distortion_synchronized_key(scenario: Scenario, eps_p: float, k: Key) -> float:
-    """Expected distortion when the receiver holds exactly the key in use.
-
-    Decryption then undoes encryption on every delivered codeword, so only
-    erasures cost anything: eps_p * d_loss, for every k including NULL_KEY.
-    """
-    _check_eps(eps_p, "eps_p")
-    _check_key(k, scenario.codebook_size, "k")
-    return eps_p * scenario.d_loss
-
-
-def distortion_mismatched_key(
-    scenario: Scenario, eps_p: float, k: Key, k_hat: Key
-) -> float:
-    """Expected distortion decrypting with k_hat what was encrypted with k.
-
-    Any wrong key (or wrongly assumed absence/presence of one) shifts every
-    delivered codeword to a wrong valid meaning, adding (1-eps_p)*d_conf on
-    top of the erasure loss.
-    """
-    _check_eps(eps_p, "eps_p")
-    _check_key(k, scenario.codebook_size, "k")
-    _check_key(k_hat, scenario.codebook_size, "k_hat")
-    same = (k is NULL_KEY) == (k_hat is NULL_KEY) and k == k_hat
-    base = eps_p * scenario.d_loss
-    if same:
-        return base
-    return base + (1.0 - eps_p) * scenario.d_conf
 
 
 def deterministic_pipeline_distortion(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pld.core import NULL_KEY, NULL_MSG, Scenario
-from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch
+from pld.crypto import decrypt_batch, encrypt_batch
 from pld.distortion import (
     DROPPING,
     EXCLUSION,
@@ -32,6 +32,7 @@ from pld.strategy import (
     receiver_curves,
     sublevel_intervals,
 )
+from reference import ShiftCipher
 
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 STRATEGIES = (PERCEPTION, DROPPING, EXCLUSION, CENTER)

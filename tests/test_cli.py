@@ -637,6 +637,23 @@ def test_validate_checks_the_batch_cipher_at_small_codebooks(tmp_path, capsys,
             in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize("codebook_size, line", [
+    (2, "FAIL cipher-identities: 1 violations in 7 exhaustive checks (S=2)"),
+    (4096, "FAIL cipher-identities: 1 violations in 100000 randomized checks (S=4096)"),
+], ids=["exhaustive", "randomized"])
+def test_validate_catches_a_cipher_that_overwrites_its_keys(tmp_path, capsys, monkeypatch,
+                                                            codebook_size, line):
+    # each result is right, so no pair check sees the fault; only the keys,
+    # which the Monte Carlo walk reads again after each cipher call, are wrong
+    decrypt = pld.checks.decrypt_batch
+    monkeypatch.setattr(pld.checks, "decrypt_batch",
+                        lambda codewords, keys, size, out=None:
+                        decrypt(codewords, keys, size, out=keys if out is None else out))
+    path = write_doc(tmp_path, dict(BASE_DOC, codebook_size=codebook_size, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def break_the_monte_carlo_kernel(monkeypatch):
     """Make every Monte Carlo mean 2 * mean + 1, far off the closed form."""
     original = pld.montecarlo.estimate_distortion

@@ -9,9 +9,9 @@ from pld.core import (
     Scenario,
     ScenarioError,
     code_violations,
-    distance,
     scenario_violations,
 )
+from reference import distance
 
 
 def make_scenario(**kw):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from pld.core import NULL_KEY, NULL_MSG
-from pld.crypto import ShiftCipher, decrypt_batch, encrypt_batch
+from pld.crypto import decrypt_batch, encrypt_batch
+from reference import ShiftCipher
 
 FULL = 1 << 64
 

@@ -15,8 +15,7 @@ import pytest
 from pld import distortion
 from pld.channels import primary_pmf
 from pld.cli import load_scenario_file
-from pld.core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Scenario, distance
-from pld.crypto import ShiftCipher
+from pld.core import ENUMERATION_CAP, NULL_KEY, NULL_MSG, Scenario
 from pld.distortion import (
     DROPPING,
     EXCLUSION,
@@ -26,12 +25,16 @@ from pld.distortion import (
     ReceiverStrategy,
     delta_terms,
     deterministic_pipeline_distortion,
-    distortion_mismatched_key,
-    distortion_synchronized_key,
     enumeration_oracle,
     opportunistic_distortion,
 )
 from pld.fbl import FblCode, packet_error_rate, snr_db_to_linear
+from reference import (
+    ShiftCipher,
+    distance,
+    distortion_mismatched_key,
+    distortion_synchronized_key,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)

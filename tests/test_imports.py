@@ -63,3 +63,39 @@ def test_every_module_level_name_is_referenced():
         for name in module_level_names(path.read_text(encoding="utf-8"))
     )
     assert sorted(name for name, n in defined.items() if words[name] <= n) == []
+
+
+def referenced_names(tree: ast.AST, enclosing: tuple[str, ...] = ()) -> set[str]:
+    """``Name`` ids and ``Attribute`` attrs under ``tree``, less each use
+    inside a ``def`` or ``class`` of the same name: a definition does not
+    call itself into use."""
+    names = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names |= referenced_names(node, enclosing + (node.name,))
+            continue
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in enclosing:
+            names.add(name)
+        names |= referenced_names(node, enclosing)
+    return names
+
+
+def quick_use_imports() -> set[str]:
+    """The names the README's quick-use block imports from ``pld``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    return {alias.name for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "pld"
+            for alias in node.names}
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # an export only the tests use belongs under tests/, not in the package
+    used = quick_use_imports()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    exports = [name for name in pld.__all__ if not name.startswith("__")]
+    assert sorted(name for name in exports if name not in used) == []

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from pld import montecarlo
-from pld.core import NULL_KEY, NULL_MSG, Scenario, distance
-from pld.crypto import ShiftCipher
+from pld.core import NULL_KEY, NULL_MSG, Scenario
 from pld.distortion import (
     DROPPING,
     EXCLUSION,
@@ -29,6 +28,7 @@ from pld.montecarlo import (
     simulate_batch,
 )
 from pld.strategy import optimal_receiver_strategy
+from reference import ShiftCipher, distance
 
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 
