@@ -44,16 +44,20 @@ def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> Gat
         w = rng.integers(0, size, size=n, dtype=np.uint64)
         k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
         kind, checks = "randomized", n
-    words, keys = w.copy(), k.copy()
-    s = encrypt_batch(w, k, size)
-    null = k == 0
-    bad_shift = (s == w) != null  # a key moves its word, NULL_KEY leaves it
-    bad_undo = decrypt_batch(s, k, size) != w  # decryption undoes both
-    # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
-    violations = (np.count_nonzero(bad_shift | bad_undo)
-                  + np.count_nonzero(bad_shift & bad_undo & null))
-    # the cipher leaves its inputs alone, so a batch can be walked again
-    violations += not (np.array_equal(w, words) and np.array_equal(k, keys))
+    violations = moved = 0
+    for lo in range(0, w.size, 10_000):  # slices bound the cipher's scratch
+        ws, ks = w[lo:lo + 10_000], k[lo:lo + 10_000]
+        words, keys = ws.copy(), ks.copy()
+        s = encrypt_batch(ws, ks, size)
+        null = ks == 0
+        bad_shift = (s == ws) != null  # a key moves its word, NULL_KEY leaves it
+        bad_undo = decrypt_batch(s, ks, size) != ws  # decryption undoes both
+        # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
+        violations += (np.count_nonzero(bad_shift | bad_undo)
+                       + np.count_nonzero(bad_shift & bad_undo & null))
+        # the cipher leaves its inputs alone, so a batch can be walked again
+        moved |= not (np.array_equal(ws, words) and np.array_equal(ks, keys))
+    violations += moved
     return _judged("cipher-identities", violations, 0,
                    f"{violations} violations in {checks} {kind} checks (S={size})")
 

@@ -9,9 +9,12 @@ by jumping ahead; ``_count_outcomes`` draws those in cache-sized blocks and
 reduces each block to two integer outcome counts, lost and confused, since
 distortion only takes the values 0, ``d_loss`` and ``d_conf``.  Every output
 lands where the whole-chunk draw order puts it, so the stream does not
-depend on the block size.  The mean and standard error follow exactly from
-the summed counts, so a given seed yields bit-identical results for any
-worker count.
+depend on the block size.  A draw or count term whose result the cell's
+parameters fix (a rate at 0 or 1, a corner strategy) is skipped; as every
+draw starts at a fixed place in the stream, that moves no other draw, and
+the counts stay bit for bit those of the full walk.  The mean and standard
+error follow exactly from the summed counts, so a given seed yields
+bit-identical results for any worker count.
 """
 from __future__ import annotations
 
@@ -100,12 +103,12 @@ def simulate_batch(
 
     The stream holds, in order: the messages, the activation uniforms, the
     keys, then the delivery, key-decoding and branch uniforms and the
-    exclusion draws.  Branch and exclusion randomness is drawn for every
-    trial (and discarded where unused) to keep that layout independent of
-    the outcomes.  A uniform takes one output, so each later segment starts
-    a known number of outputs past the end of an integer draw; an integer
-    draw can reject and take more, so only ``message`` and ``key`` are
-    drawn here, whole.  ``rng`` itself draws only ``message``, and must run
+    exclusion draws.  Each segment spans every trial, read or not, so the
+    layout depends on neither the outcomes nor which segments
+    ``_draw_blocks`` skips.  A uniform takes one output, so each later
+    segment starts a known number of outputs past the end of an integer
+    draw; an integer draw can reject and take more, so only ``message`` and
+    ``key`` are drawn here, whole.  ``rng`` itself draws only ``message``, and must run
     on PCG64, whose ``advance`` counts the outputs that the layout counts.
     """
     bitgen = rng.bit_generator
@@ -123,34 +126,61 @@ def simulate_batch(
                       after_message, key_rng.bit_generator.state)
 
 
-def _draw_blocks(batch: TrialBatch) -> Iterator[tuple[np.ndarray, ...]]:
+def _draw_blocks(
+    batch: TrialBatch, strategy: ReceiverStrategy
+) -> Iterator[tuple[np.ndarray, ...]]:
     """The chunk's draws, ``BLOCK_TRIALS`` trials at a time.
 
     Yields (message, key, delivered, key_decoded, branch_u, exclusion_draw)
     per block.  A NULL_KEY slot holds key 0, the cipher's encoding of
     NULL_KEY, and ``key_decoded`` False; ``exclusion_draw`` is uniform over
-    [0, S-2].  The key and uniform blocks are buffers that the next block
-    overwrites.
+    [0, S-2].  The yielded blocks are buffers that the next block overwrites
+    or views of the batch, and are read only.
+
+    As ``random()`` lies in [0, 1), the cell's parameters fix some results,
+    and their draws are skipped: activation at alpha 0 or 1, delivery at
+    eps_p 0 or 1, key decoding at eps_s 0 or 1 or alpha 0, the branch
+    uniform when both ``u < beta1`` and ``u >= beta1 + beta2`` are
+    constant, and the exclusion draw when the latter never holds.  Their
+    blocks are filled once per chunk, zeros for ``branch_u`` and
+    ``exclusion_draw``; every mask and value read is the full walk's.
     """
     size, cardinality = batch.message.size, batch.codebook_size
+    alpha, eps_p, eps_s = batch.alpha, batch.eps_p, batch.eps_s
+    b1, b12 = strategy.beta1, strategy.beta1 + strategy.beta2
     activation = _generator(batch.after_message)
     delivery, decoding, branch, exclusion = (
         _generator(batch.after_key, i * size) for i in range(4)
     )
     block = min(BLOCK_TRIALS, size)
-    uniform, key, active = np.empty(block), np.empty(block, np.uint64), np.empty(block, bool)
+    uniform, key = np.empty(block), np.zeros(block, np.uint64)
+    active, delivered = np.full(block, alpha >= 1), np.full(block, eps_p <= 0)
+    key_decoded = active if eps_s <= 0 else np.zeros(block, bool)
+    draws_branch = 0 < b1 < 1 or 0 < b12 < 1
+    branch_u = uniform if draws_branch else np.zeros(block)
+    excl = np.zeros(block, np.uint64)
     for lo in range(0, size, block):
         hi = min(lo + block, size)
         if hi - lo < block:  # the last, short block
-            uniform, key, active = uniform[: hi - lo], key[: hi - lo], active[: hi - lo]
-        np.less(activation.random(out=uniform), batch.alpha, out=active)
-        np.multiply(batch.key[lo:hi], active, out=key)
-        delivered = channels.delivery_mask(delivery, batch.eps_p, hi - lo, uniform)
-        key_decoded = channels.delivery_mask(decoding, batch.eps_s, hi - lo, uniform)
-        key_decoded &= active
-        branch.random(out=uniform)
-        excl = exclusion.integers(0, cardinality - 1, size=hi - lo, dtype=np.uint64)
-        yield batch.message[lo:hi], key, delivered, key_decoded, uniform, excl
+            uniform, key, active, delivered, key_decoded, branch_u, excl = (
+                a[: hi - lo]
+                for a in (uniform, key, active, delivered, key_decoded, branch_u, excl)
+            )
+        if 0 < alpha < 1:
+            np.less(activation.random(out=uniform), alpha, out=active)
+            np.multiply(batch.key[lo:hi], active, out=key)
+        elif alpha >= 1:  # every key active; at alpha 0 every slot holds key 0
+            key = batch.key[lo:hi]
+        if 0 < eps_p < 1:
+            delivered = channels.delivery_mask(delivery, eps_p, hi - lo, uniform)
+        if 0 < eps_s < 1 and alpha > 0:
+            key_decoded = channels.delivery_mask(decoding, eps_s, hi - lo, uniform)
+            key_decoded &= active
+        if draws_branch:
+            branch.random(out=uniform)
+        if b12 < 1:
+            excl = exclusion.integers(0, cardinality - 1, size=hi - lo, dtype=np.uint64)
+        yield batch.message[lo:hi], key, delivered, key_decoded, branch_u, excl
 
 
 def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int, int]:
@@ -159,15 +189,19 @@ def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int,
     The chunk is drawn and counted in blocks of ``BLOCK_TRIALS`` with scratch
     arrays of one block, so the draws, the cipher and the branch arithmetic
     stay in cache and no whole-chunk mask, ciphertext or exclusion pick is
-    ever built.
+    ever built.  A confusion term whose mask the cell's parameters make all
+    False adds 0 and is skipped: perception at beta1 = 0, exclusion at
+    beta1 + beta2 >= 1, and decryption where no trial can be synced (alpha
+    0, eps_s 1 or eps_p 1).  Every trial is still encrypted.
     """
     cardinality = batch.codebook_size
     b1, b12 = strategy.beta1, strategy.beta1 + strategy.beta2
+    syncs = batch.alpha > 0 and batch.eps_s < 1 and batch.eps_p < 1
     block = min(BLOCK_TRIALS, batch.message.size)
     s, t = np.empty(block, np.uint64), np.empty(block, np.uint64)
     synced, fallback, seen, excluded, wrong = np.empty((5, block), dtype=bool)
     n_loss = n_conf = 0
-    for w, k, delivered, key_decoded, u, x in _draw_blocks(batch):
+    for w, k, delivered, key_decoded, u, x in _draw_blocks(batch, strategy):
         if w.size < block:  # the last, short block
             s, t, synced, fallback, seen, excluded, wrong = (
                 a[: w.size] for a in (s, t, synced, fallback, seen, excluded, wrong)
@@ -185,23 +219,24 @@ def _count_outcomes(batch: TrialBatch, strategy: ReceiverStrategy) -> tuple[int,
             - np.count_nonzero(seen)
             - np.count_nonzero(excluded)
         )
-        # perception keeps the ciphertext
         crypto.encrypt_batch(w, k, cardinality, out=s)
-        np.not_equal(s, w, out=wrong)
-        wrong &= seen
-        n_conf += np.count_nonzero(wrong)
-        # exclusion picks a codeword other than the ciphertext
-        np.greater_equal(x, s, out=wrong)
-        np.add(x, wrong, out=t)
-        np.not_equal(t, w, out=wrong)
-        wrong &= excluded
-        n_conf += np.count_nonzero(wrong)
-        # a synced receiver decrypts with the key it decoded; synced trials
-        # are a subset of the active ones, so ``k`` is already that key
-        crypto.decrypt_batch(s, k, cardinality, out=t)
-        np.not_equal(t, w, out=wrong)
-        wrong &= synced
-        n_conf += np.count_nonzero(wrong)
+        if b1 > 0:  # perception keeps the ciphertext
+            np.not_equal(s, w, out=wrong)
+            wrong &= seen
+            n_conf += np.count_nonzero(wrong)
+        if b12 < 1:  # exclusion picks a codeword other than the ciphertext
+            np.greater_equal(x, s, out=wrong)
+            np.add(x, wrong, out=t)
+            np.not_equal(t, w, out=wrong)
+            wrong &= excluded
+            n_conf += np.count_nonzero(wrong)
+        if syncs:
+            # a synced receiver decrypts with the key it decoded; synced
+            # trials are a subset of the active ones, so ``k`` is that key
+            crypto.decrypt_batch(s, k, cardinality, out=t)
+            np.not_equal(t, w, out=wrong)
+            wrong &= synced
+            n_conf += np.count_nonzero(wrong)
     return int(n_loss), int(n_conf)
 
 

@@ -11,10 +11,12 @@ import pytest
 
 from pld import montecarlo
 from pld.core import Scenario
+from pld.distortion import ReceiverStrategy
 from pld.montecarlo import CHUNK_TRIALS, _draw_blocks, simulate_batch
 
 FIELDS = ("message", "key", "delivered", "key_decoded", "branch_u", "exclusion_draw")
 ALPHA, EPS_P, EPS_S = 0.6, 0.3, 0.4
+CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)  # with these rates, reads every draw
 
 
 def type_major_batch(rng, codebook_size, alpha, eps_p, eps_s, size):
@@ -36,7 +38,7 @@ def type_major_batch(rng, codebook_size, alpha, eps_p, eps_s, size):
 
 def walked(batch):
     """The block walk's draws, each field joined over the chunk."""
-    blocks = [[a.copy() for a in drawn] for drawn in _draw_blocks(batch)]
+    blocks = [[a.copy() for a in drawn] for drawn in _draw_blocks(batch, CENTER)]
     return {name: np.concatenate(parts) for name, parts in zip(FIELDS, zip(*blocks))}
 
 

@@ -29,6 +29,7 @@ from pld.montecarlo import (
 )
 from pld.strategy import optimal_receiver_strategy
 from reference import ShiftCipher, distance
+from test_draw_stream_bits import type_major_batch
 
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 
@@ -40,9 +41,9 @@ def make_scenario(size=2, alpha=0.99):
 DRAWS = ["message", "key", "delivered", "key_decoded", "branch_u", "exclusion_draw"]
 
 
-def drawn(batch):
+def drawn(batch, strategy=CENTER):
     """A batch's per-trial draws, as the block walk makes them, joined by field."""
-    blocks = [[a.copy() for a in block] for block in _draw_blocks(batch)]
+    blocks = [[a.copy() for a in block] for block in _draw_blocks(batch, strategy)]
     return {name: np.concatenate(parts) for name, parts in zip(DRAWS, zip(*blocks))}
 
 
@@ -126,17 +127,13 @@ def test_batch_pipeline_invariants():
     assert batch["exclusion_draw"].max() < 3
 
 
-@pytest.mark.parametrize("size", [2, 4, 2**63 + 11, 1 << 64])
-def test_outcome_counts_match_per_trial_scoring(size):
-    """The counting scorer agrees with the scalar cipher and distance per trial;
-    the exclusion rule is written out here, not taken from the kernel."""
-    sc = make_scenario(size=size, alpha=0.6)
-    strat = ReceiverStrategy(0.2, 0.3, 0.5)
-    batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
-    draws = drawn(batch)
-    cipher = ShiftCipher(size)
+def scored(draws, sc, strat):
+    """(n_loss, n_conf) of per-trial draws, scored one trial at a time with the
+    scalar cipher and distance; the exclusion rule is written out here, not
+    taken from the kernel."""
+    cipher = ShiftCipher(sc.codebook_size)
     n_loss = n_conf = 0
-    for i in range(batch.message.size):
+    for i in range(draws["message"].size):
         w, k = int(draws["message"][i]), int(draws["key"][i])
         s = cipher.encrypt(w, NULL_KEY if k == 0 else k)
         u = draws["branch_u"][i]
@@ -155,7 +152,85 @@ def test_outcome_counts_match_per_trial_scoring(size):
         d = distance(w, w_hat, sc)
         n_loss += d == sc.d_loss
         n_conf += d == sc.d_conf
-    assert _count_outcomes(batch, strat) == (n_loss, n_conf)
+    return n_loss, n_conf
+
+
+@pytest.mark.parametrize("size", [2, 4, 2**63 + 11, 1 << 64])
+def test_outcome_counts_match_per_trial_scoring(size):
+    """The counting scorer agrees with the scalar cipher and distance per trial."""
+    sc = make_scenario(size=size, alpha=0.6)
+    strat = ReceiverStrategy(0.2, 0.3, 0.5)
+    batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
+    assert _count_outcomes(batch, strat) == scored(drawn(batch, strat), sc, strat)
+
+
+#: Beta1 + beta2 = 1 - 1e-13: the branch uniform and the exclusion integers
+#: are both drawn, though an exclusion is all but never picked.
+NEAR_DROPPING = ReceiverStrategy(0.5, 0.5 - 1e-13, 1e-13)
+
+#: (alpha, eps_p, eps_s, strategy): cells whose parameters fix some masks.
+SKIPPING_CELLS = [
+    (0.0, 0.3, 0.4, CENTER),
+    (1.0, 0.3, 0.4, CENTER),
+    (0.6, 0.0, 0.4, CENTER),
+    (0.6, 1.0, 0.4, CENTER),
+    (0.6, 0.3, 0.0, CENTER),
+    (0.6, 0.3, 1.0, CENTER),
+    (0.6, 0.3, 0.4, PERCEPTION),
+    (0.6, 0.3, 0.4, DROPPING),
+    (0.6, 0.3, 0.4, EXCLUSION),
+    (0.6, 0.3, 0.4, NEAR_DROPPING),
+    (0.0, 0.0, 0.0, PERCEPTION),
+    (1.0, 0.0, 1.0, EXCLUSION),
+    (1.0, 0.3, 0.0, DROPPING),
+]
+
+
+@pytest.mark.parametrize("cell", SKIPPING_CELLS)
+@pytest.mark.parametrize("size", [4, 1 << 64])
+def test_outcome_counts_match_per_trial_scoring_where_draws_are_skipped(
+    monkeypatch, size, cell
+):
+    """The skipping walk counts what the frozen full walk's draws score to, over
+    several blocks and a short last one."""
+    alpha, eps_p, eps_s, strat = cell
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
+    sc = make_scenario(size=size, alpha=alpha)
+    full = type_major_batch(np.random.default_rng(19), size, alpha, eps_p, eps_s, 2500)
+    batch = simulate_batch(np.random.default_rng(19), sc, eps_p, eps_s, 2500)
+    assert _count_outcomes(batch, strat) == scored(full, sc, strat)
+
+
+#: Each rate at 0, at 1, at their float neighbours and in between.
+RATES = [0.0, 5e-324, 0.6, 1 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("strat", [PERCEPTION, DROPPING, EXCLUSION, CENTER,
+                                   NEAR_DROPPING],
+                         ids=["perception", "dropping", "exclusion", "center",
+                              "near-dropping"])
+def test_skipping_walk_matches_the_full_walk_trial_by_trial(monkeypatch, strat):
+    """Every mask the count reads, and the exclusion draw wherever it can be
+    read, is the frozen full walk's, on every cell of the rate grid."""
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
+    b1, b12 = strat.beta1, strat.beta1 + strat.beta2
+    size, codebook = 2500, 5
+    for alpha in RATES:
+        sc = make_scenario(size=codebook, alpha=alpha)
+        for eps_p in RATES:
+            for eps_s in RATES:
+                cell = (alpha, eps_p, eps_s)
+                want = type_major_batch(np.random.default_rng(29), codebook, *cell, size)
+                got = drawn(simulate_batch(np.random.default_rng(29), sc, eps_p, eps_s,
+                                           size), strat)
+                for name in ("message", "key", "delivered", "key_decoded"):
+                    assert np.array_equal(got[name], want[name]), (cell, name)
+                for mask in (lambda u: u < b1, lambda u: u >= b12):
+                    assert np.array_equal(mask(got["branch_u"]),
+                                          mask(want["branch_u"])), cell
+                if b12 < 1:
+                    assert np.array_equal(got["exclusion_draw"],
+                                          want["exclusion_draw"]), cell
 
 
 @pytest.mark.parametrize("size", [1, 20000, CHUNK_TRIALS + 12345])
@@ -167,7 +242,7 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
 
     def run():
         batch = simulate_batch(np.random.default_rng(31), sc, 0.3, 0.4, size)
-        return _count_outcomes(batch, strat), drawn(batch)
+        return _count_outcomes(batch, strat), drawn(batch, strat)
 
     want, ref = run()
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
@@ -177,17 +252,21 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
         assert np.array_equal(draws[name], ref[name]), name
 
 
-@pytest.mark.parametrize("codebook", [4, 2**63 + 7, 1 << 64])
-def test_chunk_allocates_at_most_20_bytes_per_trial(codebook):
+@pytest.mark.parametrize("codebook, alpha, eps_p, strat", [
+    *(pytest.param(c, 0.6, 0.3, CENTER, id=str(c)) for c in (4, 2**63 + 7, 1 << 64)),
+    # the skipped draws' constant masks are block buffers too
+    pytest.param(4, 0.0, 0.0, PERCEPTION, id="4-alpha0-eps_p0-perception"),
+])
+def test_chunk_allocates_at_most_20_bytes_per_trial(codebook, alpha, eps_p, strat):
     """Messages and keys (16 B/trial) plus block scratch; no other whole-chunk
     array.  A one-trial chunk first loads numpy.random's lazily imported
     modules (~0.75 MB), which are no part of a chunk's cost."""
-    sc = make_scenario(size=codebook, alpha=0.6)
-    _count_outcomes(simulate_batch(np.random.default_rng(5), sc, 0.3, 0.4, 1), CENTER)
+    sc = make_scenario(size=codebook, alpha=alpha)
+    _count_outcomes(simulate_batch(np.random.default_rng(5), sc, eps_p, 0.4, 1), strat)
     tracemalloc.start()
     try:
-        batch = simulate_batch(np.random.default_rng(5), sc, 0.3, 0.4, CHUNK_TRIALS)
-        _count_outcomes(batch, CENTER)
+        batch = simulate_batch(np.random.default_rng(5), sc, eps_p, 0.4, CHUNK_TRIALS)
+        _count_outcomes(batch, strat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,7 +280,7 @@ def test_branch_frequencies_match_their_probabilities():
     batch = drawn(simulate_batch(
         np.random.default_rng(23), make_scenario(size=4, alpha=alpha), eps_p, eps_s,
         CHUNK_TRIALS,
-    ))
+    ), strat)
 
     def within_4_sigma(mask, p):
         n = mask.size
@@ -221,7 +300,8 @@ def walked_keys(codebook, alpha, size, rng):
     """The keys of one batch's trials, 0 in NULL_KEY slots, and the raw keys."""
     batch = simulate_batch(rng, make_scenario(size=codebook, alpha=alpha), 0.0, 0.0,
                            size)
-    return np.concatenate([block[1].copy() for block in _draw_blocks(batch)]), batch.key
+    keys = [block[1].copy() for block in _draw_blocks(batch, CENTER)]
+    return np.concatenate(keys), batch.key
 
 
 def test_key_draws_degenerate_rates():
