@@ -37,22 +37,23 @@ def _gate_cipher_identities(scenario: Scenario, rng: np.random.Generator) -> Gat
     size = scenario.codebook_size
     if size <= 256:  # every (word, key) pair, key 0 standing for NULL_KEY
         w, k = np.divmod(np.arange(size * size, dtype=np.uint64), np.uint64(size))
-        # the pairs, the NULL_KEY pairs' second checks and the inputs check
-        kind, checks = "exhaustive", size * size + size + 1
-    else:
-        n = 100_000
-        w = rng.integers(0, size, size=n, dtype=np.uint64)
-        k = rng.integers(0, size - 1, size=n, dtype=np.uint64) + np.uint64(1)
-        kind, checks = "randomized", n
-    violations = moved = 0
-    for lo in range(0, w.size, 10_000):  # slices bound the cipher's scratch
-        ws, ks = w[lo:lo + 10_000], k[lo:lo + 10_000]
+        kind = "exhaustive"
+    else:  # drawn pairs, keys 1 .. S-1; each slice adds its words under key 0
+        w = rng.integers(0, size, size=100_000, dtype=np.uint64)
+        k = rng.integers(1, size, size=100_000, dtype=np.uint64)
+        kind = "randomized"
+    violations, moved, checks = 0, 0, 1  # the one check of the inputs
+    for lo in range(0, w.size, 5_000):  # slices bound the cipher's scratch
+        ws, ks = w[lo:lo + 5_000], k[lo:lo + 5_000]
+        if kind == "randomized":
+            ws, ks = np.tile(ws, 2), np.concatenate([ks, np.zeros_like(ks)])
         words, keys = ws.copy(), ks.copy()
         s = encrypt_batch(ws, ks, size)
         null = ks == 0
         bad_shift = (s == ws) != null  # a key moves its word, NULL_KEY leaves it
         bad_undo = decrypt_batch(s, ks, size) != ws  # decryption undoes both
         # one check a keyed pair, two a NULL_KEY pair (encryption, decryption)
+        checks += ws.size + np.count_nonzero(null)
         violations += (np.count_nonzero(bad_shift | bad_undo)
                        + np.count_nonzero(bad_shift & bad_undo & null))
         # the cipher leaves its inputs alone, so a batch can be walked again

@@ -184,7 +184,7 @@ def cmd_sweep_receiver(args) -> int:
                 sol.strategy.beta1,
                 sol.strategy.beta2,
                 sol.strategy.beta3,
-                eps * scenario.d_loss + (1.0 - eps) * sol.value,
+                distortion.opportunistic_distortion(scenario, eps, eps, sol.strategy).total,
             )
         )
     write_csv(

@@ -217,9 +217,9 @@ def enumeration_oracle(
     run as one 2-D pass, one row a key, in buffers allocated once a call
     and reused by every block: the three integer arrays and the two masks
     take ~2 MB at the cap, and ``_distance_rows`` one 2 MB block at a time.
-    A key's terms are reused when its two masks and key-channel pmfs repeat
-    the previous key's bit for bit, and they join the totals one key at a
-    time, in key order.
+    A key's terms are reused when its two masks match the previous key's and
+    its key-channel pmfs compare equal (a nan never does; a zero's sign cannot
+    move a total of terms >= 0); they join the totals one key at a time.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses what ``enumeration_limit`` names, and bad pairs, before the pass.
     """
@@ -252,9 +252,8 @@ def enumeration_oracle(
         np.empty((KEY_BLOCK, size), words.dtype) for _ in range(3))
     # Row 0 holds the key before the block, row i the block's i-th key.
     seen, decoded = np.zeros((2, KEY_BLOCK + 1, size), dtype=bool)
-    # Before key 0 the pmfs are nan, which match no key's, so key 0 runs.
     key_prior = scenario.alpha / (size - 1)
-    terms, pmfs = np.empty_like(totals), [[(np.nan,) * 3] * len(branches)]
+    terms, last = np.empty_like(totals), None
     for lo in range(0, size, KEY_BLOCK):
         keys = range(lo, min(lo + KEY_BLOCK, size))
         n = len(keys)
@@ -266,19 +265,17 @@ def enumeration_oracle(
         d -= np.multiply(np.floor_divide(d, size, out=q), size, out=q)
         np.equal(c, words, out=seen[1:n + 1])
         np.equal(d, words, out=decoded[1:n + 1])
-        # (p(k), p(k decoded), p(k lost)) a channel pair; key 0 is NULL_KEY
-        pmfs = pmfs[-1:] + [[
-            (1.0 - scenario.alpha, 0.0, secondary_pmf(NULL_KEY, NULL_KEY, eps_s))
-            if k == 0 else
-            (key_prior, secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
-            for *_, eps_s in branches] for k in keys]
-        # the pmfs compare bit for bit, so -0.0 differs from 0.0
-        pmf_bits = np.array(pmfs).reshape(n + 1, -1).view(np.uint8)
         changed = (seen[1:n + 1] != seen[:n]).any(axis=1)
         changed |= (decoded[1:n + 1] != decoded[:n]).any(axis=1)
-        changed |= (pmf_bits[1:] != pmf_bits[:-1]).any(axis=1)
-        for i, key_pmfs in enumerate(pmfs[1:], 1):
-            if changed[i - 1]:
+        for i, k in enumerate(keys, 1):
+            # (p(k), p(k decoded), p(k lost)) a channel pair; key 0 is NULL_KEY
+            key_pmfs = [
+                (1.0 - scenario.alpha, 0.0, secondary_pmf(NULL_KEY, NULL_KEY, eps_s))
+                if k == 0 else
+                (key_prior, secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
+                for *_, eps_s in branches]
+            if changed[i - 1] or key_pmfs != last:
+                last = key_pmfs
                 d_decoded = np.where(decoded[i], 0.0, d_conf)
                 mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
                 for j, (prior, p_decoded, p_lost) in enumerate(key_pmfs):

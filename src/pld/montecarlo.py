@@ -120,8 +120,7 @@ def simulate_batch(
     message = rng.integers(0, cardinality, size=size, dtype=np.uint64)
     after_message = bitgen.state
     key_rng = _generator(after_message, size)  # past the activation uniforms
-    key = key_rng.integers(0, cardinality - 1, size=size, dtype=np.uint64)
-    key += np.uint64(1)
+    key = key_rng.integers(1, cardinality, size=size, dtype=np.uint64)
     return TrialBatch(cardinality, scenario.alpha, eps_p, eps_s, message, key,
                       after_message, key_rng.bit_generator.state)
 

@@ -639,7 +639,7 @@ def test_validate_checks_the_batch_cipher_at_small_codebooks(tmp_path, capsys,
 
 @pytest.mark.parametrize("codebook_size, line", [
     (2, "FAIL cipher-identities: 1 violations in 7 exhaustive checks (S=2)"),
-    (4096, "FAIL cipher-identities: 1 violations in 100000 randomized checks (S=4096)"),
+    (4096, "FAIL cipher-identities: 1 violations in 300001 randomized checks (S=4096)"),
 ], ids=["exhaustive", "randomized"])
 def test_validate_catches_a_cipher_that_overwrites_its_keys(tmp_path, capsys, monkeypatch,
                                                             codebook_size, line):
@@ -652,6 +652,27 @@ def test_validate_catches_a_cipher_that_overwrites_its_keys(tmp_path, capsys, mo
     path = write_doc(tmp_path, dict(BASE_DOC, codebook_size=codebook_size, mc_trials=20000))
     assert main(["validate", "--scenario", path]) == 1
     assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("codebook_size, shown, skipped", [(4096, 4096, 0),
+                                                          ("2^64", 1 << 64, 1)],
+                         ids=["4096", "2^64"])
+def test_validate_checks_each_drawn_word_under_the_null_key(tmp_path, capsys, monkeypatch,
+                                                            codebook_size, shown, skipped):
+    # the drawn keys are all active, so only the gate's NULL_KEY pass can see
+    # a cipher that moves a word under key 0 alone: each word then fails
+    # both its encryption and its decryption check
+    encrypt = pld.checks.encrypt_batch
+    monkeypatch.setattr(pld.checks, "encrypt_batch",
+                        lambda words, keys, size, out=None:
+                        encrypt(words, keys, size) ^ (keys == 0).astype(np.uint64))
+    path = write_doc(tmp_path, dict(BASE_DOC, codebook_size=codebook_size, mc_trials=20000))
+    assert main(["validate", "--scenario", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("FAIL cipher-identities: 200000 violations in 300001 "
+                        f"randomized checks (S={shown})")
+    # S=2^64 skips the enumeration gate
+    assert lines[-1] == f"gates: {5 - skipped} passed, 1 failed, {skipped} skipped"
 
 
 def break_the_monte_carlo_kernel(monkeypatch):

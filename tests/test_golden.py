@@ -68,9 +68,9 @@ def test_cli_output_digest(tmp_path, argv, digest):
 
 @pytest.mark.parametrize(
     "size,digest",
-    [(257, "6012688008473d9be7add603772210e45c06001f0d122fa698fb86a861330f5e"),
-     (4096, "22400537705f08e4823111d0318f691c2076a5bb50554c7fba9271219ab6e351"),
-     (1 << 64, "6b5097e636cdf25bb2f23623f36b5d29bd8c654f92e10114666e09e999486b07")],
+    [(257, "b41da26dfc96951e4fe7255fe5e66e66e954b21b31b28b89c4216c8e9dd02243"),
+     (4096, "e03e121216bbfb78301233c1853f8a9570e647c673265c3ee74c84509597da40"),
+     (1 << 64, "b9bc171dfdc4833542efe8ff4d8a842384c30a5372524378b1b2f2b50fc37177")],
     ids=["S=257", "S=4096", "S=2^64"],
 )
 def test_validate_digest_at_enumerated_codebook(tmp_path, size, digest):

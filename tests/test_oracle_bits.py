@@ -131,3 +131,36 @@ def test_oracle_keeps_the_summation_order_at_non_dyadic_levels(size, d_conf):
     got = enumeration_oracle(scenario, PAIRS, PINNED_STRATEGIES)
     want = per_key_oracle(scenario, PAIRS, PINNED_STRATEGIES)
     assert got.tobytes() == want.tobytes()
+
+
+# The oracle reuses a key's terms when its masks match the previous key's and
+# its pmfs compare equal, so a key whose zero pmfs flip sign reuses terms
+# that ``per_key_oracle``, comparing bytes, recomputes: every factor is >= 0,
+# so the terms differ in the sign of a zero at most, which no total keeps.  A
+# nan pmf equals nothing, so its key and the next recompute.
+SIGNED_PAIRS = [(0.0, 0.0), (-0.0, -0.0), (0.2, -0.0), (0.1, 0.2), (0.7, 1.0),
+                (0.3, 0.5)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 0.4, 1.0], ids=["0", "-0", "0.4", "1"])
+@pytest.mark.parametrize("size", [2, 7, 65, 300])
+def test_oracle_reuse_ignores_zero_signs_and_never_reuses_nan(monkeypatch, size, alpha):
+    nan_key, original = (size + 1) // 2, secondary_pmf
+
+    def patched(k_hat, k, eps_s):
+        p = original(k_hat, k, eps_s)
+        if k is NULL_KEY:
+            return p
+        if k == nan_key and eps_s == 0.5:
+            return float("nan")
+        return -p if p == 0 and k % 3 == 1 else p
+
+    monkeypatch.setattr("pld.distortion.secondary_pmf", patched)
+    monkeypatch.setitem(globals(), "secondary_pmf", patched)
+    scenario = replace(BASE, codebook_size=size, alpha=alpha)
+    got = enumeration_oracle(scenario, SIGNED_PAIRS, PINNED_STRATEGIES)
+    want = per_key_oracle(scenario, SIGNED_PAIRS, PINNED_STRATEGIES)
+    nan = np.isnan(want)
+    assert nan[-1].all() and not nan[:-1].any()
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
