@@ -207,68 +207,49 @@ def cmd_sweep_receiver(args) -> int:
 
 
 class _Reprs(dict):
-    """``repr`` of each float looked up, memoised up to ``_BLOCK`` floats.  Zeros
-    are not kept: 0.0 and -0.0 are one key but two strings."""
+    """``repr`` of each float looked up, memoised up to ``strategy.PLAN_BLOCK``
+    floats.  Zeros are not kept: 0.0 and -0.0 are one key but two strings."""
 
     def __missing__(self, x: float) -> str:
         text = repr(x)
-        if x and len(self) < _BLOCK:
+        if x and len(self) < strategy.PLAN_BLOCK:
             self[x] = text
         return text
 
 
-#: Eve SNRs per block of curves, and cells per search pass: bounds the scratch
-_BLOCK = 1 << 15
-
-
-def _eve_text(snrs: np.ndarray) -> tuple[list[str], list[str]]:
-    """Each Eve SNR's CSV cell, and its infeasible line without the Bob cell."""
-    cells = [repr(snr) + "," for snr in snrs.tolist()]
-    return cells, [cell + "nan,nan,nan,false" for cell in cells]
-
-
-def _deception_blocks(loaded: ScenarioFile, bobs: np.ndarray, bob_eps: np.ndarray,
-                      eves: np.ndarray, eve_curves: list[np.ndarray]) -> Iterator[str]:
-    """The optimize-alpha CSV lines, one block of Eve SNRs of one Bob SNR each.
-
-    A search pass covers as many Bob rows as fit in ``_BLOCK`` cells.  An Eve
-    axis longer than one block leaves room for one row a pass, so the rows
-    still come out in order.  Each pass makes its Eve block's text.
-    """
-    group = max(1, _BLOCK // len(eves))
+def _deception_lines(bobs: np.ndarray, eves: np.ndarray,
+                     plans: Iterable[tuple]) -> Iterator[str]:
+    """The optimize-alpha CSV lines of ``strategy.deception_plans`` blocks, one
+    block of Eve SNRs of one Bob SNR each.  Each block makes its Eve text."""
     reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
-    for rows in (slice(first, first + group) for first in range(0, len(bobs), group)):
-        curves = strategy.receiver_curves(loaded.scenario, bob_eps[rows], bob_eps[rows])
-        spans = strategy.sublevel_intervals(curves, loaded.d_max)
-        heads = [repr(snr) + "," for snr in bobs[rows].tolist()]
-        for block, eve_block in enumerate(eve_curves):
-            cells, infeasible = _eve_text(eves[block * _BLOCK:][:_BLOCK])
-            plans = strategy.deception_search(curves, spans, eve_block)
-            for head, first, plan in zip(heads, spans[:, 0, 0].tolist(),
-                                         plans.transpose(1, 0, 2)):
-                if math.isnan(first):
-                    yield head + ("\n" + head).join(infeasible) + "\n"
-                    continue
-                yield "".join([
-                    f"{head}{cell}{reprs[a]},{reprs[e]},{b!r},true\n"
-                    for cell, a, e, b in zip(cells, *plan.tolist())
-                ])
+    for rows, cols, spans, block in plans:
+        cells = [repr(snr) + "," for snr in eves[cols].tolist()]
+        infeasible = [cell + "nan,nan,nan,false" for cell in cells]
+        for snr, first, plan in zip(bobs[rows].tolist(), spans[:, 0, 0].tolist(),
+                                    block.transpose(1, 0, 2)):
+            head = repr(snr) + ","
+            if math.isnan(first):
+                yield head + ("\n" + head).join(infeasible) + "\n"
+                continue
+            yield "".join([
+                f"{head}{cell}{reprs[a]},{reprs[e]},{b!r},true\n"
+                for cell, a, e, b in zip(cells, *plan.tolist())
+            ])
 
 
 def cmd_optimize_alpha(args) -> int:
-    # a curve depends on its own SNR only: evaluate each axis value once,
-    # all of them before --out is opened, as only they can fail
+    # a plan depends on its cell's two error rates only: evaluate each axis
+    # value once, all of them before --out is opened, as only they can fail
     loaded = load_scenario_file(args.scenario)
     code = FblCode.from_scenario(loaded.scenario)
     bobs = np.array(snr_grid(args.bob_snr_lo, args.bob_snr_hi, args.bob_snr_step))
     eves = np.array(snr_grid(args.eve_snr_lo, args.eve_snr_hi, args.eve_snr_step))
-    eve_curves = [strategy.receiver_curves(loaded.scenario, eps, eps) for eps in
-                  np.split(error_rates(code, eves), range(_BLOCK, len(eves), _BLOCK))]
-    bob_eps = error_rates(code, bobs)
+    eve_eps = error_rates(code, eves)
+    plans = strategy.deception_plans(loaded.scenario, loaded.d_max,
+                                     error_rates(code, bobs), eve_eps)
     header = ["snr_bob_db", "snr_eve_db", "alpha_opt", "eve_distortion",
               "bob_distortion", "feasible"]
-    blocks = _deception_blocks(loaded, bobs, bob_eps, eves, eve_curves)
-    write_csv(header, blocks, args.out)
+    write_csv(header, _deception_lines(bobs, eves, plans), args.out)
     return 0
 
 

@@ -7,11 +7,14 @@ the optimized distortion is a concave piecewise-linear envelope with at most
 two breakpoints.  The transmitter's problem — push the eavesdropper's
 distortion as high as possible while keeping the intended receiver's below a
 cap — then reduces to candidate enumeration over interval endpoints and
-envelope breakpoints, no grid search needed.
+envelope breakpoints, no grid search needed.  ``deception_plans`` is the one
+planner: it solves a whole grid of (Bob, Eve) error-rate pairs a block of
+cells at a time, and ``optimize_deception`` is its one-cell call.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,21 +207,44 @@ def deception_search(bobs: np.ndarray, spans: np.ndarray, eves: np.ndarray) -> n
     return out
 
 
+#: Eve rates per block of curves, and cells per search pass: bounds the scratch
+PLAN_BLOCK = 1 << 15
+
+
+def deception_plans(scenario: Scenario, d_max: float, bob_eps: np.ndarray,
+                    eve_eps: np.ndarray) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Plans for every (Bob, Eve) pair of error rates, a block of cells at a time.
+
+    Each receiver's ``(eps_p, eps_s)`` is (e, e), and ``d_max`` a cap that
+    ``d_max_violations`` accepts.  Each block of up to ``PLAN_BLOCK`` Eve
+    rates has its curves built once; a pass takes as many Bob rows as fit in
+    ``PLAN_BLOCK`` cells, one if the Eve axis spans blocks, so the passes
+    come in row-major order.  Yields ``(rows, cols, spans, plans)``: slices
+    of ``bob_eps`` and ``eve_eps``, the rows' ``sublevel_intervals`` and the
+    cells' ``(3, rows, cols)`` ``deception_search``.
+    """
+    block, n = PLAN_BLOCK, len(eve_eps)
+    cols = [slice(i, min(i + block, n)) for i in range(0, n, block)]
+    eves = [receiver_curves(scenario, eve_eps[col], eve_eps[col]) for col in cols]
+    group = max(1, block // n)
+    for first in range(0, len(bob_eps), group):
+        rows = slice(first, min(first + group, len(bob_eps)))
+        bobs = receiver_curves(scenario, bob_eps[rows], bob_eps[rows])
+        spans = sublevel_intervals(bobs, d_max)
+        for col, curves in zip(cols, eves):
+            yield rows, col, spans, deception_search(bobs, spans, curves)
+
+
 def optimize_deception(scenario: Scenario, d_max: float) -> DeceptionPlan:
     """Choose alpha maximizing Eve's distortion subject to Bob's cap.
 
-    A receiver's ``(eps_p, eps_s)`` pair is (e, e), with e the error rate of
-    the scenario's code at snr_bob_db for Bob and snr_eve_db (her expected
-    SNR) for Eve.  Both optimized distortions are concave piecewise-linear
-    in alpha, so the constraint set is [0,1] minus an open interval;
-    ``deception_search`` searches it.
+    The one-cell ``deception_plans``: e is the error rate of the scenario's
+    code at snr_bob_db for Bob and at snr_eve_db (her expected SNR) for Eve.
     """
     if bad := d_max_violations(d_max):
         raise ValueError(bad[0])
     snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
     rates = error_rates(FblCode.from_scenario(scenario), snrs)
-    curves = receiver_curves(scenario, rates, rates)
-    spans = sublevel_intervals(curves[:, :1], d_max)
-    plan = deception_search(curves[:, :1], spans, curves[:, 1:])[:, 0, 0]
+    [(_, _, spans, plan)] = deception_plans(scenario, d_max, rates[:1], rates[1:])
     intervals = tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))
-    return DeceptionPlan(*plan.tolist(), intervals, bool(intervals))
+    return DeceptionPlan(*plan[:, 0, 0].tolist(), intervals, bool(intervals))

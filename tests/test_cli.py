@@ -12,6 +12,7 @@ import pytest
 import pld.checks
 import pld.cli
 import pld.distortion
+import pld.strategy
 from pld.cli import ScenarioFile, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
@@ -466,6 +467,23 @@ def test_optimize_alpha_grid_matches_scalar_optimizer(
         if len(plan.feasible_intervals) == 2:
             two_intervals.add(snr_bob)
     assert sorted(two_intervals) == two_interval_bobs
+
+
+@pytest.mark.parametrize("block", [1, 40, 41, 42, 41 * 41])
+@pytest.mark.parametrize("name", ["small_codebook", "large_codebook"])
+def test_optimize_alpha_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, name, block):
+    """A 41x41 grid in one-cell, two-block (40 + 1), one-row, one-row and
+    one-pass blocks: the same bytes as the default block."""
+    axes = []
+    for axis in ("bob", "eve"):
+        axes += [f"--{axis}-snr-lo", "-5", f"--{axis}-snr-hi", "5",
+                 f"--{axis}-snr-step", "0.25"]
+    argv = ["optimize-alpha", "--scenario", str(SCENARIO_DIR / f"{name}.json"), *axes]
+    outs = [tmp_path / "default.csv", tmp_path / "blocked.csv"]
+    assert main([*argv, "--out", str(outs[0])]) == 0
+    monkeypatch.setattr(pld.strategy, "PLAN_BLOCK", block)
+    assert main([*argv, "--out", str(outs[1])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_optimize_alpha_streams_a_large_grid(tmp_path):
