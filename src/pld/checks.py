@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,9 +15,6 @@ from .core import NULL_KEY, NULL_MSG, Scenario
 from .crypto import decrypt_batch, encrypt_batch
 from .distortion import DROPPING, EXCLUSION, PERCEPTION, DistortionReport, ReceiverStrategy
 from .fbl import FblCode, error_rates
-
-if TYPE_CHECKING:
-    from .cli import ScenarioFile
 
 
 @dataclass(frozen=True)
@@ -157,9 +153,9 @@ def _gate_decomposition(scenario: Scenario, eps_pairs: list[tuple[float, float]]
                           [rep.total for rep in reports], 1e-12)
 
 
-def run_validation(loaded: ScenarioFile) -> list[GateResult]:
-    """Run every self-check gate; FAIL on any discrepancy beyond tolerance."""
-    scenario, trials, seed = loaded.scenario, loaded.mc_trials, loaded.seed
+def run_validation(scenario: Scenario, trials: int, seed: int) -> list[GateResult]:
+    """Run every self-check gate, the Monte Carlo one at ``trials`` trials and
+    every draw from ``seed``; FAIL on any discrepancy beyond tolerance."""
     code = FblCode.from_scenario(scenario)
     snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
     eps_bob, eps_eve = error_rates(code, snrs).tolist()

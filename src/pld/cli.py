@@ -23,7 +23,7 @@ import numpy as np
 
 from . import distortion, montecarlo, strategy
 from .checks import run_validation
-from .core import Scenario, ScenarioError, _is_int, code_violations
+from .core import Scenario, ScenarioError, _is_int
 from .fbl import FblCode, error_rates
 
 def run_violations(d_max: float, mc_trials: int, seed: int) -> list[str]:
@@ -151,10 +151,7 @@ def _error_table_code(args) -> FblCode:
         return FblCode.from_scenario(load_scenario_file(args.scenario).scenario)
     payload_bits = 64 if args.payload_bits is None else args.payload_bits
     code_rate = 0.5 if args.code_rate is None else args.code_rate
-    bad = code_violations(payload_bits, code_rate)
-    if bad:
-        raise ScenarioError(bad)
-    return FblCode(round(payload_bits / code_rate), payload_bits)
+    return FblCode.from_rate(payload_bits, code_rate)
 
 
 def cmd_error_table(args) -> int:
@@ -220,15 +217,15 @@ class _Reprs(dict):
 def _deception_lines(bobs: np.ndarray, eves: np.ndarray,
                      plans: Iterable[tuple]) -> Iterator[str]:
     """The optimize-alpha CSV lines of ``strategy.deception_plans`` blocks, one
-    block of Eve SNRs of one Bob SNR each.  Each block makes its Eve text."""
+    block of Eve SNRs of one Bob SNR each.  Each block makes its Eve text; a
+    Bob SNR without a feasible set is a row of nan plans."""
     reprs = _Reprs()  # alpha_opt and eve_distortion repeat; bob_distortion hardly
-    for rows, cols, spans, block in plans:
+    for rows, cols, _, block in plans:
         cells = [repr(snr) + "," for snr in eves[cols].tolist()]
         infeasible = [cell + "nan,nan,nan,false" for cell in cells]
-        for snr, first, plan in zip(bobs[rows].tolist(), spans[:, 0, 0].tolist(),
-                                    block.transpose(1, 0, 2)):
+        for snr, plan in zip(bobs[rows].tolist(), block.transpose(1, 0, 2)):
             head = repr(snr) + ","
-            if math.isnan(first):
+            if math.isnan(plan[0, 0]):
                 yield head + ("\n" + head).join(infeasible) + "\n"
                 continue
             yield "".join([
@@ -260,7 +257,7 @@ def cmd_validate(args) -> int:
         mc_trials=loaded.mc_trials if args.trials is None else args.trials,
         seed=loaded.seed if args.seed is None else args.seed,
     )
-    results = run_validation(loaded)
+    results = run_validation(loaded.scenario, loaded.mc_trials, loaded.seed)
     lines = [f"{r.status} {r.name}: {r.detail}" for r in results]
     counts = {s: sum(r.status == s for r in results) for s in ("PASS", "FAIL", "SKIP")}
     lines.append(

@@ -49,8 +49,8 @@ class Scenario:
     ``codebook_size`` is the cardinality S of the meaning set; keys live in
     {1, ..., S-1}.  ``alpha`` is the deception activation rate: the prior
     probability that a transmission carries a real key rather than NULL_KEY.
-    ``payload_bits`` and ``code_rate`` determine the blocklength of the
-    finite-blocklength code used on both transport channels, and the SNR
+    ``payload_bits`` and ``code_rate`` determine the finite-blocklength code
+    used on both transport channels (``fbl.FblCode.from_rate``), and the SNR
     fields place the two receivers on that code's error-rate curve.
     Construction (``dataclasses.replace`` included) stores the real fields as
     floats and raises ScenarioError listing every type, else range, problem.
@@ -75,11 +75,6 @@ class Scenario:
             bad = scenario_violations(self)
         if bad:
             raise ScenarioError(bad)
-
-    @property
-    def blocklength(self) -> int:
-        """Channel uses per packet, ``payload_bits / code_rate`` rounded."""
-        return round(self.payload_bits / self.code_rate)
 
 
 class ScenarioError(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario
+from .core import Scenario, ScenarioError, code_violations
 
 LOG2_E = math.log2(math.e)
 
@@ -71,8 +71,16 @@ class FblCode:
             )
 
     @classmethod
+    def from_rate(cls, payload_bits: int, code_rate: float) -> FblCode:
+        """The code of k = ``payload_bits`` at rate k/n = ``code_rate``, n
+        being k/rate rounded; ScenarioError listing ``code_violations``."""
+        if bad := code_violations(payload_bits, code_rate):
+            raise ScenarioError(bad)
+        return cls(round(payload_bits / code_rate), payload_bits)
+
+    @classmethod
     def from_scenario(cls, scenario: Scenario) -> FblCode:
-        return cls(scenario.blocklength, scenario.payload_bits)
+        return cls.from_rate(scenario.payload_bits, scenario.code_rate)
 
 
 def packet_error_rate(snr_linear: float, code: FblCode) -> float:

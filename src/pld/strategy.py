@@ -31,10 +31,10 @@ TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ReceiverSolution:
-    """An optimal corner (or tie-splitting mix) of the receiver simplex."""
+    """An optimal corner (or tie-splitting mix) of the receiver simplex, and
+    the option it puts its mass on ("tie-set" for a mix)."""
 
     strategy: ReceiverStrategy
-    value: float
     active_option: str
 
 
@@ -72,19 +72,17 @@ def optimal_receiver_strategy(deltas: DeltaTerms) -> ReceiverSolution:
 
     All mass goes to the smallest delta term; deltas tied within TIE_TOL
     (relative to the largest term) share the mass equally and are reported
-    as the "tie-set".  ``value`` is the conditional expected distortion
-    given primary delivery (the weighted delta sum).
+    as the "tie-set".  The distortion the mix attains is
+    ``distortion.opportunistic_distortion`` of its strategy.
     """
     values = deltas.as_tuple()
     tol = TIE_TOL * max(values)
     d_min = min(values)
     tied = [i for i, v in enumerate(values) if v - d_min <= tol]
     share = 1.0 / len(tied)
-    betas = [share if i in tied else 0.0 for i in range(3)]
-    strategy = ReceiverStrategy(*betas)
-    value = sum(b * v for b, v in zip(betas, values))
+    strategy = ReceiverStrategy(*(share if i in tied else 0.0 for i in range(3)))
     label = OPTION_LABELS[tied[0]] if len(tied) == 1 else "tie-set"
-    return ReceiverSolution(strategy, value, label)
+    return ReceiverSolution(strategy, label)
 
 
 def receiver_curves(
@@ -221,12 +219,12 @@ def deception_plans(scenario: Scenario, d_max: float, bob_eps: np.ndarray,
     ``PLAN_BLOCK`` cells, one if the Eve axis spans blocks, so the passes
     come in row-major order.  Yields ``(rows, cols, spans, plans)``: slices
     of ``bob_eps`` and ``eve_eps``, the rows' ``sublevel_intervals`` and the
-    cells' ``(3, rows, cols)`` ``deception_search``.
+    cells' ``(3, rows, cols)`` ``deception_search``; an empty axis yields none.
     """
     block, n = PLAN_BLOCK, len(eve_eps)
     cols = [slice(i, min(i + block, n)) for i in range(0, n, block)]
     eves = [receiver_curves(scenario, eve_eps[col], eve_eps[col]) for col in cols]
-    group = max(1, block // n)
+    group = max(1, block // max(n, 1))
     for first in range(0, len(bob_eps), group):
         rows = slice(first, min(first + group, len(bob_eps)))
         bobs = receiver_curves(scenario, bob_eps[rows], bob_eps[rows])

@@ -1,4 +1,5 @@
 """Command-line interface: scenario parsing, CSV output, validation gates."""
+import hashlib
 import json
 import os
 import subprocess
@@ -16,9 +17,10 @@ import pld.strategy
 from pld.cli import ScenarioFile, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
 from pld.distortion import DeltaTerms
-from pld.fbl import EPS_CEIL
+from pld.fbl import EPS_CEIL, FblCode
 from pld.montecarlo import MAX_TRIALS
 from pld.strategy import optimize_deception
+from test_golden import GOLDEN
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -62,7 +64,7 @@ def test_load_round_trip(tmp_path):
     loaded = load_scenario_file(write_doc(tmp_path, BASE_DOC))
     assert isinstance(loaded, ScenarioFile)
     assert loaded.scenario.codebook_size == 2
-    assert loaded.scenario.blocklength == 128
+    assert FblCode.from_scenario(loaded.scenario).blocklength_n == 128
     assert loaded.d_max == 0.01
     assert loaded.mc_trials == 1000
     assert loaded.seed == 7
@@ -183,7 +185,7 @@ def test_trial_count_bound(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="mc_trials"):
         ScenarioFile(scenario, 0.01, MAX_TRIALS + 1, 7)
 
-    def no_gates(loaded):
+    def no_gates(*args):
         raise AssertionError("a gate ran")
 
     monkeypatch.setattr(pld.cli, "run_validation", no_gates)
@@ -484,6 +486,24 @@ def test_optimize_alpha_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, 
     monkeypatch.setattr(pld.strategy, "PLAN_BLOCK", block)
     assert main([*argv, "--out", str(outs[1])]) == 0
     assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+@pytest.mark.parametrize("name", ["small_codebook", "large_codebook"])
+def test_optimize_alpha_text_reads_only_the_plans(tmp_path, monkeypatch, name):
+    """With the feasible sets withheld from the CLI, each default 21x21 grid
+    still writes its golden bytes: an infeasible row shows in its plan."""
+    plans = pld.strategy.deception_plans
+
+    def without_spans(*args):
+        for rows, cols, _, block in plans(*args):
+            yield rows, cols, None, block
+
+    monkeypatch.setattr(pld.strategy, "deception_plans", without_spans)
+    argv = ["optimize-alpha", "--scenario", str(SCENARIO_DIR / f"{name}.json")]
+    [digest] = [digest for golden, digest in GOLDEN if golden == argv]
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_optimize_alpha_streams_a_large_grid(tmp_path):

@@ -11,6 +11,7 @@ from pld.core import (
     code_violations,
     scenario_violations,
 )
+from pld.fbl import FblCode
 from reference import distance
 
 
@@ -134,5 +135,6 @@ def test_code_rules_skip_the_blocklength_of_a_non_integer():
 
 
 def test_blocklength_arithmetic():
-    assert make_scenario(payload_bits=64, code_rate=0.5).blocklength == 128
-    assert make_scenario(payload_bits=64, code_rate=1.0).blocklength == 64
+    code = FblCode.from_scenario
+    assert code(make_scenario(payload_bits=64, code_rate=0.5)).blocklength_n == 128
+    assert code(make_scenario(payload_bits=64, code_rate=1.0)).blocklength_n == 64

@@ -5,12 +5,14 @@ the q_function test also recomputes its oracle in-process.
 """
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from pld.core import Scenario
+from pld.cli import load_scenario_file
+from pld.core import Scenario, ScenarioError, code_violations
 from pld.fbl import (
     EPS_CEIL,
     EPS_FLOOR,
@@ -25,6 +27,7 @@ from pld.fbl import (
 )
 
 CODE = FblCode(blocklength_n=128, info_bits_k=64)
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def rel_err(got, want):
@@ -109,6 +112,17 @@ def test_code_validation():
     sc = Scenario(codebook_size=2, d_loss=1.0, d_conf=10.0, alpha=0.5,
                   payload_bits=64, code_rate=0.5)
     assert FblCode.from_scenario(sc) == CODE
+
+
+def test_code_from_rate():
+    assert FblCode.from_rate(64, 0.5) == FblCode(128, 64)
+    with pytest.raises(ScenarioError) as err:
+        FblCode.from_rate(63, 0.4)  # n = 157.5
+    assert err.value.violations == code_violations(63, 0.4)
+    assert "integer blocklength" in str(err.value)
+    for name in ("small_codebook", "large_codebook"):
+        sc = load_scenario_file(str(SCENARIO_DIR / f"{name}.json")).scenario
+        assert FblCode.from_scenario(sc) == FblCode.from_rate(sc.payload_bits, sc.code_rate)
 
 
 def test_error_rate_landmark_at_zero_db():

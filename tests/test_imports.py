@@ -35,6 +35,27 @@ def test_modules_use_every_import():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every module an import in ``source`` names, nested imports included,
+    with ``pld`` written out for a relative import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pld" if node.level else "", node.module]))
+            modules |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return modules
+
+
+def test_only_cli_imports_cli():
+    # the library takes its inputs as arguments; the CLI's types stay in cli
+    importers = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name != "cli.py"
+                 and "pld.cli" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == []
+
+
 ROOT = PACKAGE_DIR.parents[1]
 
 

@@ -12,6 +12,7 @@ from pld.strategy import (
     OPTION_LABELS,
     DeceptionPlan,
     _values_at,
+    deception_plans,
     deception_search,
     lower_envelopes,
     optimal_receiver_strategy,
@@ -44,24 +45,33 @@ def value_at(curve, x):
     return intercepts[k] + slopes[k] * x
 
 
+def given_delivery(sol, deltas):
+    """The distortion of ``sol``'s strategy given primary delivery: its
+    beta-weighted delta sum."""
+    betas = (sol.strategy.beta1, sol.strategy.beta2, sol.strategy.beta3)
+    return sum(b * v for b, v in zip(betas, deltas.as_tuple()))
+
+
 # ---------------------------------------------------------------------------
 # single-point strategy choice
 # ---------------------------------------------------------------------------
 
 def test_reference_deltas_select_dropping():
-    sol = optimal_receiver_strategy(DeltaTerms(0.495, 0.0595, 0.1))
+    deltas = DeltaTerms(0.495, 0.0595, 0.1)
+    sol = optimal_receiver_strategy(deltas)
     assert sol.active_option == "dropping"
     assert sol.strategy == ReceiverStrategy(0.0, 1.0, 0.0)
-    assert sol.value == pytest.approx(0.0595, rel=1e-12)
+    assert given_delivery(sol, deltas) == pytest.approx(0.0595, rel=1e-12)
 
 
 def test_three_way_tie_splits_evenly():
-    sol = optimal_receiver_strategy(DeltaTerms(0.2, 0.2, 0.2))
+    deltas = DeltaTerms(0.2, 0.2, 0.2)
+    sol = optimal_receiver_strategy(deltas)
     assert sol.active_option == "tie-set"
     s = sol.strategy
     assert s.beta1 == s.beta2 == s.beta3
     assert s.beta1 + s.beta2 + s.beta3 == 1.0
-    assert sol.value == pytest.approx(0.2, rel=1e-12)
+    assert given_delivery(sol, deltas) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_two_way_tie_within_tolerance():
@@ -86,15 +96,16 @@ def test_solver_beats_simplex_grid():
             b1 * deltas.delta1 + b2 * deltas.delta2 + b3 * deltas.delta3
             for b1, b2, b3 in grid
         )
-        assert sol.value <= best_grid + 1e-12
+        assert given_delivery(sol, deltas) <= best_grid + 1e-12
 
 
 def test_strategy_choice_scale_invariant():
-    deltas = DeltaTerms(0.7, 0.3, 0.9)
+    deltas, scaled_deltas = DeltaTerms(0.7, 0.3, 0.9), DeltaTerms(7.0, 3.0, 9.0)
     base = optimal_receiver_strategy(deltas)
-    scaled = optimal_receiver_strategy(DeltaTerms(7.0, 3.0, 9.0))
+    scaled = optimal_receiver_strategy(scaled_deltas)
     assert scaled.strategy == base.strategy
-    assert scaled.value == pytest.approx(10.0 * base.value, rel=1e-12)
+    assert given_delivery(scaled, scaled_deltas) == pytest.approx(
+        10.0 * given_delivery(base, deltas), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +190,9 @@ def test_envelope_matches_pointwise_solver():
         row = receiver_value_of_alpha(sc, 0.1, 0.05)
         for alpha in np.linspace(0.0, 1.0, 2001):
             sc_a = dataclasses.replace(sc, alpha=float(alpha))
-            sol = optimal_receiver_strategy(delta_terms(sc_a, 0.05))
-            direct = 0.1 * sc_a.d_loss + (1.0 - 0.1) * sol.value
+            deltas = delta_terms(sc_a, 0.05)
+            sol = optimal_receiver_strategy(deltas)
+            direct = 0.1 * sc_a.d_loss + (1.0 - 0.1) * given_delivery(sol, deltas)
             assert abs(value_at(row, float(alpha)) - direct) <= 1e-9 * max(
                 1.0, abs(direct)
             )
@@ -255,6 +267,12 @@ def test_deception_search_tie_takes_larger_alpha():
     assert plan.alpha_opt == 1.0
     assert plan.eve_distortion == 0.5
     assert plan.bob_distortion == 0.0
+
+
+def test_deception_plans_of_an_empty_axis_yield_nothing():
+    sc, rates = make_scenario(), np.array([0.1, 0.2])
+    assert list(deception_plans(sc, 0.01, rates, rates[:0])) == []
+    assert list(deception_plans(sc, 0.01, rates[:0], rates)) == []
 
 
 def scalar_search(value_bob, intervals, value_eve):
