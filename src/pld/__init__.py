@@ -7,7 +7,7 @@ expected distortions, an exhaustive-enumeration oracle, a Monte Carlo
 simulator of the full pipeline, and exact optimizers for the receiver's
 option mix and the transmitter's activation rate.
 """
-from .core import NULL_KEY, NULL_MSG, Scenario, ScenarioError
+from .core import NULL_KEY, NULL_MSG, Scenario, ScenarioError, snr_db_to_linear
 from .distortion import (
     DeltaTerms,
     DistortionReport,
@@ -17,7 +17,7 @@ from .distortion import (
     enumeration_oracle,
     opportunistic_distortion,
 )
-from .fbl import FblCode, error_rates, packet_error_rate, q_function, snr_db_to_linear
+from .fbl import FblCode, error_rates, packet_error_rate, q_function
 from .montecarlo import McEstimate, estimate_distortion
 from .strategy import (
     DeceptionPlan,

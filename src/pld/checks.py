@@ -14,7 +14,7 @@ from .channels import primary_pmf, secondary_pmf
 from .core import NULL_KEY, NULL_MSG, Scenario
 from .crypto import decrypt_batch, encrypt_batch
 from .distortion import DROPPING, EXCLUSION, PERCEPTION, DistortionReport, ReceiverStrategy
-from .fbl import FblCode, error_rates
+from .fbl import receiver_error_rates
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,7 @@ def _gate_decomposition(scenario: Scenario, eps_pairs: list[tuple[float, float]]
 def run_validation(scenario: Scenario, trials: int, seed: int) -> list[GateResult]:
     """Run every self-check gate, the Monte Carlo one at ``trials`` trials and
     every draw from ``seed``; FAIL on any discrepancy beyond tolerance."""
-    code = FblCode.from_scenario(scenario)
-    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
-    eps_bob, eps_eve = error_rates(code, snrs).tolist()
+    eps_bob, eps_eve = receiver_error_rates(scenario).tolist()
     eps_pairs = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)]
     # the closed forms three gates judge, in the oracle's order flattened
     reports = [distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)

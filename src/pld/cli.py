@@ -149,9 +149,9 @@ def _error_table_code(args) -> FblCode:
                 "--scenario and --payload-bits/--code-rate exclude each other"
             )
         return FblCode.from_scenario(load_scenario_file(args.scenario).scenario)
-    payload_bits = 64 if args.payload_bits is None else args.payload_bits
-    code_rate = 0.5 if args.code_rate is None else args.code_rate
-    return FblCode.from_rate(payload_bits, code_rate)
+    k = Scenario.payload_bits if args.payload_bits is None else args.payload_bits
+    rate = Scenario.code_rate if args.code_rate is None else args.code_rate
+    return FblCode.from_rate(k, rate)
 
 
 def cmd_error_table(args) -> int:
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("error-table", help="packet error rate vs SNR")
-    p.add_argument("--payload-bits", type=int, help="info bits k (default 64)")
-    p.add_argument("--code-rate", type=float, help="k/n (default 0.5)")
+    p.add_argument("--payload-bits", type=int, help=f"info bits k (default {Scenario.payload_bits})")
+    p.add_argument("--code-rate", type=float, help=f"k/n (default {Scenario.code_rate})")
     _add_snr_range(p)
     p.set_defaults(func=cmd_error_table)
 

@@ -103,6 +103,14 @@ def real_violations(**values: object) -> list[str]:
     return bad
 
 
+def snr_db_to_linear(snr_db: float) -> float:
+    """10^(dB/10); ValueError if that exceeds the float range (~3082 dB)."""
+    try:  # math.pow raises on overflow for numpy floats too; ** returns inf
+        return math.pow(10.0, snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db!r} dB overflows the float range") from None
+
+
 def code_violations(payload_bits: int, code_rate: float) -> list[str]:
     """Rules for the (n, k) code: k >= 1, rate in (0, 1], integer n = k/rate."""
     bad: list[str] = []
@@ -145,8 +153,8 @@ def scenario_violations(s: Scenario) -> list[str]:
             bad.append(f"{field} must be finite, got {snr!r}")
             continue
         try:  # the channels take the linear SNR, 10^(dB/10), as a float
-            math.pow(10.0, snr / 10.0)
-        except OverflowError:
+            snr_db_to_linear(snr)
+        except ValueError:
             bad.append(f"{field} must be at most ~3082 dB, where 10^(dB/10) "
                        f"still fits a float, got {snr!r}")
     return bad

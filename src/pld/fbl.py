@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario, ScenarioError, code_violations
+from .core import Scenario, ScenarioError, _is_int, code_violations, snr_db_to_linear
 
 LOG2_E = math.log2(math.e)
 
@@ -22,14 +22,6 @@ LOG2_E = math.log2(math.e)
 #: strictly below 1, so downstream logs and odds never blow up.
 EPS_FLOOR = 1e-300
 EPS_CEIL = math.nextafter(1.0, 0.0)
-
-
-def snr_db_to_linear(snr_db: float) -> float:
-    """10^(dB/10); ValueError if that exceeds the float range (~3082 dB)."""
-    try:  # math.pow raises on overflow for numpy floats too; ** returns inf
-        return math.pow(10.0, snr_db / 10.0)
-    except OverflowError:
-        raise ValueError(f"SNR {snr_db!r} dB overflows the float range") from None
 
 
 def shannon_capacity(snr_linear: float) -> float:
@@ -59,11 +51,9 @@ class FblCode:
     info_bits_k: int
 
     def __post_init__(self) -> None:
-        if self.blocklength_n < 1 or self.info_bits_k < 1:
-            raise ValueError(
-                f"code dimensions must be positive, got "
-                f"({self.blocklength_n}, {self.info_bits_k})"
-            )
+        dims = (self.blocklength_n, self.info_bits_k)
+        if not all(_is_int(d) and d >= 1 for d in dims):
+            raise ValueError(f"code dimensions must be positive integers, got {dims!r}")
         if self.info_bits_k > self.blocklength_n:
             raise ValueError(
                 f"info bits {self.info_bits_k} exceed blocklength "
@@ -110,3 +100,9 @@ def error_rates(code: FblCode, snrs_db: Sequence[float] | np.ndarray) -> np.ndar
     ``math`` call each: numpy's transcendentals may round differently."""
     return np.array([packet_error_rate(snr_db_to_linear(snr), code)
                      for snr in np.asarray(snrs_db, dtype=float).tolist()])
+
+
+def receiver_error_rates(scenario: Scenario) -> np.ndarray:
+    """``error_rates`` of the scenario's code at Bob's and Eve's SNRs, in order."""
+    return error_rates(FblCode.from_scenario(scenario),
+                       (scenario.snr_bob_db, scenario.snr_eve_db))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Scenario, real_violations
 from .distortion import DeltaTerms, ReceiverStrategy, _delta_terms_at
-from .fbl import FblCode, error_rates
+from .fbl import receiver_error_rates
 
 OPTION_LABELS = ("perception", "dropping", "exclusion")
 
@@ -186,15 +186,13 @@ def deception_search(bobs: np.ndarray, spans: np.ndarray, eves: np.ndarray) -> n
     """
     out = np.full((3, len(spans), eves.shape[1]), math.nan)
     rows = ~np.isnan(spans[:, 0, 0])
-    if not rows.any():
-        return out
     spans = spans[rows]
     # a row's first interval stands in for the intervals it lacks
     spans = np.where(np.isnan(spans), spans[:, :1], spans)
     breaks = eves[0, None, :, None, 1:]
     lo, hi = spans[:, None, :, :1], spans[:, None, :, 1:]
     inside = ((lo < breaks) & (breaks < hi)).any(axis=2)
-    ends = spans.reshape(len(spans), 1, -1)
+    ends = spans.reshape(len(spans), 1, 2 * spans.shape[1])
     # a breakpoint outside every interval stands in as a repeated endpoint
     x = np.concatenate((np.broadcast_to(ends, inside.shape[:2] + ends.shape[2:]),
                         np.where(inside, breaks[:, :, 0], ends[:, :, :1])), axis=2)
@@ -236,13 +234,12 @@ def deception_plans(scenario: Scenario, d_max: float, bob_eps: np.ndarray,
 def optimize_deception(scenario: Scenario, d_max: float) -> DeceptionPlan:
     """Choose alpha maximizing Eve's distortion subject to Bob's cap.
 
-    The one-cell ``deception_plans``: e is the error rate of the scenario's
-    code at snr_bob_db for Bob and at snr_eve_db (her expected SNR) for Eve.
+    The one-cell ``deception_plans``: e is each receiver's rate from
+    ``fbl.receiver_error_rates`` (Eve's at her expected SNR).
     """
     if bad := d_max_violations(d_max):
         raise ValueError(bad[0])
-    snrs = (scenario.snr_bob_db, scenario.snr_eve_db)
-    rates = error_rates(FblCode.from_scenario(scenario), snrs)
+    rates = receiver_error_rates(scenario)
     [(_, _, spans, plan)] = deception_plans(scenario, d_max, rates[:1], rates[1:])
     intervals = tuple(map(tuple, spans[0, ~np.isnan(spans[0, :, 0])].tolist()))
     return DeceptionPlan(*plan[:, 0, 0].tolist(), intervals, bool(intervals))

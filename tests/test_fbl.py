@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pld import core
 from pld.cli import load_scenario_file
 from pld.core import Scenario, ScenarioError, code_violations
 from pld.fbl import (
@@ -109,6 +110,10 @@ def test_code_validation():
         FblCode(128, 200)
     with pytest.raises(ValueError):
         FblCode(0, 0)
+    # a float or bool dimension names no code, yet would have an error rate
+    for dims in [(128.5, 64), (128, 64.0), (True, True), (np.int64(128), 64)]:
+        with pytest.raises(ValueError, match="must be positive integers"):
+            FblCode(*dims)
     sc = Scenario(codebook_size=2, d_loss=1.0, d_conf=10.0, alpha=0.5,
                   payload_bits=64, code_rate=0.5)
     assert FblCode.from_scenario(sc) == CODE
@@ -207,3 +212,20 @@ def test_error_rates_reject_a_nan_snr():
 def test_error_rates_reject_an_snr_past_the_float_range():
     with pytest.raises(ValueError, match="overflows"):
         error_rates(CODE, (0.0, 4000.0))
+
+
+def test_one_snr_range_rule(monkeypatch):
+    # fbl's snr_db_to_linear is core's one function: a rule that refuses
+    # 7 dB there is refused by a Scenario and by error_rates alike
+    def refuse_7_db(snr_db):
+        if snr_db == 7.0:
+            raise ValueError(f"SNR {snr_db!r} dB refused")
+        return 10.0 ** (snr_db / 10.0)
+
+    monkeypatch.setattr(core.snr_db_to_linear, "__code__", refuse_7_db.__code__)
+    base = dict(codebook_size=2, d_loss=1.0, d_conf=10.0, alpha=0.5)
+    assert Scenario(**base, snr_bob_db=6.0).snr_bob_db == 6.0
+    with pytest.raises(ScenarioError, match="snr_bob_db must be at most"):
+        Scenario(**base, snr_bob_db=7.0)
+    with pytest.raises(ValueError, match="refused"):
+        error_rates(CODE, [6.0, 7.0])

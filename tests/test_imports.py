@@ -120,3 +120,18 @@ def test_every_export_has_a_caller_in_the_package():
             used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     exports = [name for name in pld.__all__ if not name.startswith("__")]
     assert sorted(name for name in exports if name not in used) == []
+
+
+def test_each_coding_layer_rule_has_one_home():
+    # the receivers' SNRs are ranged in core and evaluated on the code in
+    # fbl; 10^(dB/10) is computed once, in core.snr_db_to_linear
+    readers, pows = set(), 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                if node.attr in ("snr_bob_db", "snr_eve_db"):
+                    readers.add(path.name)
+                pows += (node.attr == "pow" and isinstance(node.value, ast.Name)
+                         and node.value.id == "math")
+    assert readers <= {"core.py", "fbl.py"}
+    assert pows == 1
