@@ -125,19 +125,17 @@ def _gate_monte_carlo(scenario: Scenario, eps_p: float, eps_s: float, trials: in
         gap = abs(est.mean - closed)
         # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
         # the analytic bound keeps the gate meaningful when events are so
-        # rare that the empirical standard error collapses to zero, and
-        # judges one trial alone, whose standard error is nan.  Its root is
-        # taken factor by factor, as d_conf * mean can overflow.
+        # rare that the empirical standard error collapses to zero, and is
+        # the unit of a strategy without a positive one (one trial alone has
+        # nan).  Its root is taken factor by factor, as d_conf * mean can
+        # overflow.
         se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
-        empirical = est.std_error if trials > 1 else 0.0
-        tol = 4.0 * max(empirical, se_bound) + 1e-12
+        scale = est.std_error if est.std_error > 0 else se_bound
+        tol = 4.0 * max(scale, se_bound) + 1e-12
         verdict = _judged(name, gap, tol, f"|{est.mean:.6g} - {closed:.6g}| = "
                           f"{gap:.3e} > tol={tol:.3e} at {trials} trials")
         if verdict.status == "FAIL":  # the first strategy off its closed form
             return verdict
-        # a strategy without a positive empirical standard error is
-        # measured in units of the bound it was judged by
-        scale = est.std_error if est.std_error > 0 else se_bound
         if scale > 0:
             sigmas.append(gap / scale)
     return GateResult(name, "PASS", f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} "

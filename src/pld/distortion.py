@@ -11,10 +11,10 @@ estimate) combination, sharing nothing with the closed forms, so the two can
 police each other in tests.  It makes one O(S^2) pass per call, shared by
 every channel pair and strategy asked about: every key's cipher runs,
 NULL_KEY as key 0, a block of keys at a time on narrow integers, and its
-arithmetic is reused when its masks and key-channel probabilities repeat the
-previous key's.  The pass runs in scratch of fixed size, ~3 MB at the 4096
-cap: one 512x512 distance block at a time, and buffers for a block of keys
-that every block reuses.
+arithmetic is reused when its masks repeat the previous key's; each channel
+is read once per channel pair.  The pass runs in scratch of fixed size,
+~3 MB at the 4096 cap: one 512x512 distance block at a time, and buffers for
+a block of keys that every block reuses.
 """
 from __future__ import annotations
 
@@ -217,9 +217,11 @@ def enumeration_oracle(
     run as one 2-D pass, one row a key, in buffers allocated once a call
     and reused by every block: the three integer arrays and the two masks
     take ~2 MB at the cap, and ``_distance_rows`` one 2 MB block at a time.
-    A key's terms are reused when its two masks match the previous key's and
-    its key-channel pmfs compare equal (a nan never does; a zero's sign cannot
-    move a total of terms >= 0); they join the totals one key at a time.
+    The key channel, like the codeword channel, is read once per pair: for
+    NULL_KEY, and at key 1 for every real key.  A key's terms are recomputed
+    at keys 0 and 1, which switch between those reads, and where its two
+    masks differ from the previous key's, else reused; they join the totals
+    one key at a time.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses what ``enumeration_limit`` names, and bad pairs, before the pass.
     """
@@ -237,12 +239,17 @@ def enumeration_oracle(
 
     words = np.arange(size, dtype=np.min_scalar_type(-2 * size))
     rowsum = _distance_rows(words, scenario)
-    # The channels treat all valid symbols alike, so representative symbols
-    # pin the branch probabilities.
+    # The channels treat all valid symbols, and all real keys, alike, so
+    # representative symbols and key 1 pin the branch probabilities.
     branches = [
-        (primary_pmf(0, 0, eps_p), primary_pmf(NULL_MSG, 0, eps_p) * d_loss, eps_s)
-        for eps_p, eps_s in channels
+        (primary_pmf(0, 0, eps_p), primary_pmf(NULL_MSG, 0, eps_p) * d_loss)
+        for eps_p, _ in channels
     ]
+    # (p(k), p(k decoded), p(k lost)) a pair, for NULL_KEY and for real keys
+    null_key = [(1.0 - scenario.alpha, 0.0, secondary_pmf(NULL_KEY, NULL_KEY, eps_s))
+                for _, eps_s in channels]
+    real_key = [(scenario.alpha / (size - 1), secondary_pmf(1, 1, eps_s),
+                 secondary_pmf(NULL_KEY, 1, eps_s)) for _, eps_s in channels]
     betas = np.reshape([(s.beta1, s.beta2, s.beta3) for s in strategies], (-1, 3, 1))
     b1, b2, b3 = betas.transpose(1, 0, 2)  # (n, 1) columns broadcast over meanings
     weights = (b1, b2 * np.full(size, d_loss), b3)
@@ -252,8 +259,7 @@ def enumeration_oracle(
         np.empty((KEY_BLOCK, size), words.dtype) for _ in range(3))
     # Row 0 holds the key before the block, row i the block's i-th key.
     seen, decoded = np.zeros((2, KEY_BLOCK + 1, size), dtype=bool)
-    key_prior = scenario.alpha / (size - 1)
-    terms, last = np.empty_like(totals), None
+    terms = np.empty_like(totals)
     for lo in range(0, size, KEY_BLOCK):
         keys = range(lo, min(lo + KEY_BLOCK, size))
         n = len(keys)
@@ -268,23 +274,17 @@ def enumeration_oracle(
         changed = (seen[1:n + 1] != seen[:n]).any(axis=1)
         changed |= (decoded[1:n + 1] != decoded[:n]).any(axis=1)
         for i, k in enumerate(keys, 1):
-            # (p(k), p(k decoded), p(k lost)) a channel pair; key 0 is NULL_KEY
-            key_pmfs = [
-                (1.0 - scenario.alpha, 0.0, secondary_pmf(NULL_KEY, NULL_KEY, eps_s))
-                if k == 0 else
-                (key_prior, secondary_pmf(k, k, eps_s), secondary_pmf(NULL_KEY, k, eps_s))
-                for *_, eps_s in branches]
-            if changed[i - 1] or key_pmfs != last:
-                last = key_pmfs
+            # keys 0 and 1 switch the reads, whatever their masks
+            if k <= 1 or changed[i - 1]:
                 d_decoded = np.where(decoded[i], 0.0, d_conf)
                 mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
-                for j, (prior, p_decoded, p_lost) in enumerate(key_pmfs):
-                    deliver, erasure, _ = branches[j]
+                for (deliver, erasure), (prior, p_decoded, p_lost), row in zip(
+                        branches, real_key if k else null_key, terms):
                     np.multiply(p_lost, mix, out=block)
                     block += p_decoded * d_decoded
                     block *= deliver
                     block += erasure
-                    np.multiply(prior, block.mean(axis=1), out=terms[j])
+                    np.multiply(prior, block.mean(axis=1), out=row)
             totals += terms
         seen[0], decoded[0] = seen[n], decoded[n]
     return totals

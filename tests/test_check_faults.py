@@ -1,20 +1,24 @@
-"""Fault injection for the ``validate`` gates.
+"""Fault injection for the ``validate`` gates and the acceptance checks.
 
-Each of the six gates judges one quantity found two ways.  Planting one
-fault in that quantity (a monkeypatch) must turn the gate's verdict to
-FAIL; a gate that no single fault can fail checks nothing.  The two strict
-xfails are faults that every gate passes today (ROADMAP item 11).
+Each of the six gates, and each acceptance check but C02, judges one
+quantity found two ways.  Planting one fault in that quantity (a
+monkeypatch) must turn the verdict to FAIL; a check that no single fault can
+fail checks nothing.  The two strict xfails are faults that every gate
+passes today (ROADMAP item 11).  C02 is left out for its cost: it runs 768
+cells at 10^6 trials, and a planted run would take as long again.
 """
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pld import checks, crypto, distortion
+from pld import checks, crypto, distortion, fbl, strategy
 from pld.channels import primary_pmf
 from pld.cli import load_scenario_file
 from pld.core import NULL_MSG, Scenario
 from pld.distortion import DistortionReport
+import test_acceptance as acceptance
 
 SCENARIO = Scenario(codebook_size=64, d_loss=1.0, d_conf=10.0, alpha=0.9,
                     snr_bob_db=3.0, snr_eve_db=0.0)
@@ -22,6 +26,8 @@ TRIALS, SEED = 20_000, 20250801
 LARGE = Path(__file__).resolve().parents[1] / "scenarios" / "large_codebook.json"
 
 _decrypt_batch = crypto.decrypt_batch
+_deception_search = strategy.deception_search
+_receiver_curves = strategy.receiver_curves
 _delta_terms_at = distortion._delta_terms_at
 _pipeline = distortion.deterministic_pipeline_distortion
 _opportunistic = distortion.opportunistic_distortion
@@ -99,3 +105,72 @@ def test_delta3_fault_fails_a_gate_above_the_enumeration_cap(monkeypatch):
 def test_loss_and_confusion_trading_mass_fails_a_gate(monkeypatch):
     monkeypatch.setattr(distortion, "opportunistic_distortion", parts_trade_mass)
     assert "FAIL" in verdicts(SCENARIO).values()
+
+
+def delta1_without_alpha(scenario, eps_s, a):
+    _, d2, d3 = _delta_terms_at(scenario, eps_s, a)
+    return eps_s * scenario.d_conf, d2, d3
+
+
+def delta2_without_alpha(scenario, eps_s, a):
+    d1, _, d3 = _delta_terms_at(scenario, eps_s, a)
+    return d1, (eps_s + (1.0 - a)) * scenario.d_loss, d3
+
+
+def exclusion_ratio_inverted(scenario, eps_s, a):
+    """Exclusion guesses wrong with the chance of guessing right, 1/(S-1)."""
+    d1, d2, _ = _delta_terms_at(scenario, eps_s, a)
+    return d1, d2, (eps_s * a / (scenario.codebook_size - 1) + (1.0 - a)) * scenario.d_conf
+
+
+def capacity_in_nats(snr_linear):
+    return math.log1p(snr_linear)
+
+
+def search_for_the_least_eve(bobs, spans, eves):
+    flipped = eves.copy()
+    flipped[1:] *= -1.0  # Eve's intercepts and slopes
+    out = _deception_search(bobs, spans, flipped)
+    out[1] *= -1.0
+    return out
+
+
+def curves_without_erasure_floor(scenario, eps_p, eps_s):
+    curves = _receiver_curves(scenario, eps_p, eps_s)
+    curves[1] -= (eps_p * scenario.d_loss)[:, None]
+    return curves
+
+
+# (check, module, name, fault): the check judges what module.name computes
+ACCEPTANCE_FAULTS = [
+    ("C01", distortion, "_delta_terms_at", delta3_high_above_0_3),
+    ("C03", distortion, "_delta_terms_at", delta1_without_alpha),
+    ("C04", distortion, "_delta_terms_at", delta2_without_alpha),
+    ("C05", distortion, "_delta_terms_at", exclusion_ratio_inverted),
+    ("C06", strategy, "OPTION_LABELS", ("perception", "exclusion", "dropping")),
+    ("C07", fbl, "shannon_capacity", capacity_in_nats),
+    ("C08", strategy, "deception_search", search_for_the_least_eve),
+    ("C09", strategy, "receiver_curves", curves_without_erasure_floor),
+    ("C10", acceptance, "decrypt_batch", decrypt_to_a_neighbour),
+]
+ACCEPTANCE_CHECKS = {
+    "C01": acceptance.test_c01_closed_form_matches_enumeration,
+    "C03": acceptance.test_c03_perception_strategy_simplifies,
+    "C04": acceptance.test_c04_small_codebook_thresholds,
+    "C05": acceptance.test_c05_large_codebook_never_excludes,
+    "C06": acceptance.test_c06_strategy_regions_ordered,
+    "C07": acceptance.test_c07_error_rate_landmark_and_monotone,
+    "C08": acceptance.test_c08_optimizer_matches_grid_search,
+    "C09": acceptance.test_c09_deception_sweep_monotone,
+    "C10": acceptance.test_c10_cipher_identities,
+}
+
+
+@pytest.mark.parametrize("check, module, name, fault", ACCEPTANCE_FAULTS,
+                         ids=[f[0] for f in ACCEPTANCE_FAULTS])
+def test_a_planted_fault_fails_its_acceptance_check(monkeypatch, check, module, name,
+                                                    fault):
+    verdicts = []
+    monkeypatch.setattr(module, name, fault)
+    ACCEPTANCE_CHECKS[check](lambda tag, ok, detail: verdicts.append((tag, ok)))
+    assert verdicts == [(check, False)]

@@ -480,10 +480,10 @@ def test_oracle_on_no_pairs_is_empty():
     assert isinstance(rows, np.ndarray) and rows.shape == (0, 5)
 
 
-# The oracle reuses a key's terms while its cipher masks and key-channel pmfs
-# repeat the previous key's; under the shift cipher every key k >= 1 repeats
-# key 1.  A key-dependent change must still reach that key's terms.  Key 0,
-# NULL_KEY, opens the first block of keys.
+# The oracle reads the key channel once per channel pair, at NULL_KEY and at
+# key 1 for every real key, as the paper's one Z-channel has a single failure
+# rate; it reuses a key's terms while its cipher masks repeat the previous
+# key's.  Key 0, NULL_KEY, opens the first block of keys.
 
 def _key_channel_patch(monkeypatch, eps_of_key):
     """Serve each key k >= 1 the key channel at eps_of_key(k, eps_s)."""
@@ -493,33 +493,6 @@ def _key_channel_patch(monkeypatch, eps_of_key):
         return original(k_hat, k, eps_s if k is NULL_KEY else eps_of_key(k, eps_s))
 
     monkeypatch.setattr(distortion, "secondary_pmf", patched)
-
-
-# eps_s / 2, then a change below float32 resolution: pmfs compare exactly
-@pytest.mark.parametrize("factor", [0.5, 1.0 + 2.0**-30])
-def test_oracle_sees_a_change_to_one_keys_channel(monkeypatch, factor):
-    pairs = [(0.1, 0.2), (0.5, 0.5)]
-    # a key inside the first block of keys, the first key of a later block,
-    # and the last key, in a short block
-    for size, key in [(16, 2), (ENUMERATION_CAP, 3 * distortion.KEY_BLOCK),
-                      (ENUMERATION_CAP - 1, ENUMERATION_CAP - 2)]:
-        sc = make_scenario(size=size, alpha=0.7, d_loss=1.3, d_conf=5.0)
-        plain = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
-        moved = enumeration_oracle(sc, [(0.5, 0.5 * factor)], PINNED_STRATEGIES)[0]
-        # only this key of the second pair sees eps_s * factor
-        with monkeypatch.context() as patch:
-            _key_channel_patch(
-                patch,
-                lambda k, eps_s: eps_s * factor if (k, eps_s) == (key, 0.5) else eps_s,
-            )
-            patched = enumeration_oracle(sc, pairs, PINNED_STRATEGIES)
-        assert [repr(float(x)) for x in patched[0]] == [
-            repr(float(x)) for x in plain[0]
-        ]
-        assert all(patched[1] != plain[1])
-        # the key carries 1/(S-1) of the active mass; the inactive term has no key
-        share = (moved - plain[1]) / (size - 1)
-        assert patched[1] == pytest.approx(plain[1] + share, rel=1e-12)
 
 
 @pytest.mark.parametrize("size", [2, 16, ENUMERATION_CAP])
@@ -577,3 +550,18 @@ def test_oracle_runs_key_arithmetic_for_the_inactive_term_and_key_one(
     # the inactive term's plaintext codewords, then key 1's ciphertexts
     assert [seen.all() for seen in calls] == [True, False]
     assert not calls[1].any()
+
+
+@pytest.mark.parametrize("size", [2, 16, ENUMERATION_CAP])
+def test_oracle_reads_the_key_channel_three_times_a_pair(monkeypatch, size):
+    calls = []
+    original = distortion.secondary_pmf
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(distortion, "secondary_pmf", counted)
+    pairs = [(0.0003, 0.0003), (0.5, 0.5), (0.1, 0.2), (0.5, 0.5)]
+    enumeration_oracle(make_scenario(size=size), pairs, PINNED_STRATEGIES[:4])
+    assert len(calls) == 3 * len(pairs)
