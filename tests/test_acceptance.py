@@ -93,7 +93,10 @@ def pwl_on_grid(row, grid):
 
 
 def bisect_boundary(pred, lo, hi, iters=80):
-    assert pred(lo) and not pred(hi)
+    """Where ``pred`` turns false in [lo, hi]; nan unless it holds at lo and
+    not at hi, so that a check reports a switch outside its bracket."""
+    if not pred(lo) or pred(hi):
+        return math.nan
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if pred(mid):
@@ -171,13 +174,15 @@ def test_c04_small_codebook_thresholds(report):
     def option_at(eps_s):
         return optimal_receiver_strategy(delta_terms(sc, eps_s)).active_option
 
-    t1 = bisect_boundary(lambda e: option_at(e) == "perception", 1e-6, 1e-2)
-    t2 = bisect_boundary(lambda e: option_at(e) == "dropping", 2e-2, 0.3)
+    b1, b2 = (1e-6, 1e-2), (2e-2, 0.3)
+    t1 = bisect_boundary(lambda e: option_at(e) == "perception", *b1)
+    t2 = bisect_boundary(lambda e: option_at(e) == "dropping", *b2)
     err1 = abs(t1 - 1.0 / 891.0)
     err2 = abs(t2 - 1.0 / 11.0)
     report("C04", err1 <= 1e-9 and err2 <= 1e-9,
-           f"strategy switches at eps_s={t1:.12f} (1/891 off by {err1:.1e}) "
-           f"and {t2:.12f} (1/11 off by {err2:.1e}), tol 1e-9")
+           f"strategy switches at eps_s={t1:.12f} in {list(b1)} (1/891 off by "
+           f"{err1:.1e}) and {t2:.12f} in {list(b2)} (1/11 off by {err2:.1e}), "
+           f"tol 1e-9")
 
 
 def test_c05_large_codebook_never_excludes(report):

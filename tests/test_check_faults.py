@@ -117,6 +117,12 @@ def delta2_without_alpha(scenario, eps_s, a):
     return d1, (eps_s + (1.0 - a)) * scenario.d_loss, d3
 
 
+def delta2_times_10(scenario, eps_s, a):
+    """Dropping charged as if it confused, so no switch lies in C04's brackets."""
+    d1, d2, d3 = _delta_terms_at(scenario, eps_s, a)
+    return d1, 10.0 * d2, d3
+
+
 def exclusion_ratio_inverted(scenario, eps_s, a):
     """Exclusion guesses wrong with the chance of guessing right, 1/(S-1)."""
     d1, d2, _ = _delta_terms_at(scenario, eps_s, a)
@@ -174,3 +180,13 @@ def test_a_planted_fault_fails_its_acceptance_check(monkeypatch, check, module, 
     monkeypatch.setattr(module, name, fault)
     ACCEPTANCE_CHECKS[check](lambda tag, ok, detail: verdicts.append((tag, ok)))
     assert verdicts == [(check, False)]
+
+
+def test_c04_reports_a_switch_outside_its_bracket(monkeypatch):
+    details = []
+    monkeypatch.setattr(distortion, "_delta_terms_at", delta2_times_10)
+    acceptance.test_c04_small_codebook_thresholds(
+        lambda tag, ok, detail: details.append((tag, ok, detail)))
+    [(tag, ok, detail)] = details
+    assert (tag, ok) == ("C04", False)
+    assert "eps_s=nan in [1e-06, 0.01]" in detail

@@ -48,7 +48,7 @@ GOLDEN = [
       *_axes("bob", "-5", "5", "0.01"), *_axes("eve", "-5", "5", "0.01")],
      "9f0db3b443875d41c391ce126f97ee587d85a8ddc9fc6e2c83b41a4317d53d52"),
     (["validate", "--scenario", SMALL, "--trials", "20000", "--seed", "3"],
-     "718c95d46bec0e9139b4959d01f196600d2b889372368884710161369912c39f"),
+     "447664978bcf10e33e8416fc3535a48fdc16c45d7451c696c366198a738e1329"),
 ]
 
 
@@ -68,8 +68,8 @@ def test_cli_output_digest(tmp_path, argv, digest):
 
 @pytest.mark.parametrize(
     "size,digest",
-    [(257, "b41da26dfc96951e4fe7255fe5e66e66e954b21b31b28b89c4216c8e9dd02243"),
-     (4096, "e03e121216bbfb78301233c1853f8a9570e647c673265c3ee74c84509597da40"),
+    [(257, "0cf703c84a2986e55a463e733be82981f2b1992a08862979d96a702e4c8bf1c3"),
+     (4096, "cc17cebb34831dd40d05edf3609f3d6e6ea5978fbf7c056070b3c4db5b135423"),
      (1 << 64, "b9bc171dfdc4833542efe8ff4d8a842384c30a5372524378b1b2f2b50fc37177")],
     ids=["S=257", "S=4096", "S=2^64"],
 )

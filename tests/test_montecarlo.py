@@ -21,15 +21,12 @@ from pld.montecarlo import (
     CHUNK_TRIALS,
     MAX_TRIALS,
     McEstimate,
-    TrialBatch,
     _count_outcomes,
-    _draw_blocks,
     estimate_distortion,
-    simulate_batch,
 )
 from pld.strategy import optimal_receiver_strategy
 from reference import ShiftCipher, distance
-from test_draw_stream_bits import type_major_batch
+from test_draw_stream_bits import FIELDS, stream_major_draws, walked
 
 CENTER = ReceiverStrategy(1 / 3, 1 / 3, 1 / 3)
 
@@ -38,13 +35,7 @@ def make_scenario(size=2, alpha=0.99):
     return Scenario(codebook_size=size, d_loss=1.0, d_conf=10.0, alpha=alpha)
 
 
-DRAWS = ["message", "key", "delivered", "key_decoded", "branch_u", "exclusion_draw"]
-
-
-def drawn(batch, strategy=CENTER):
-    """A batch's per-trial draws, as the block walk makes them, joined by field."""
-    blocks = [[a.copy() for a in block] for block in _draw_blocks(batch, strategy)]
-    return {name: np.concatenate(parts) for name, parts in zip(DRAWS, zip(*blocks))}
+chunk = np.random.SeedSequence  # a chunk's seed; a walk spawns from a fresh one
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +75,7 @@ def test_trial_count_rejected_before_any_draw(monkeypatch, trials):
     def no_draws(*args):
         raise AssertionError("drew a chunk")
 
-    monkeypatch.setattr(montecarlo, "simulate_batch", no_draws)
+    monkeypatch.setattr(montecarlo, "_count_outcomes", no_draws)
     with pytest.raises(ValueError, match="trials"):
         estimate_distortion(make_scenario(), 0.1, 0.1, CENTER, trials, seed=1)
 
@@ -95,7 +86,7 @@ def test_impossible_channel_rejected_before_any_draw(monkeypatch, label, bad):
     def no_draws(*args):
         raise AssertionError("drew a chunk")
 
-    monkeypatch.setattr(montecarlo, "simulate_batch", no_draws)
+    monkeypatch.setattr(montecarlo, "_count_outcomes", no_draws)
     eps = {"eps_p": 0.1, "eps_s": 0.1, label: bad}
     with pytest.raises(ValueError, match=label):
         estimate_distortion(make_scenario(), eps["eps_p"], eps["eps_s"], CENTER,
@@ -107,17 +98,12 @@ def test_impossible_channel_rejected_before_any_draw(monkeypatch, label, bad):
 # ---------------------------------------------------------------------------
 
 def test_records_hold_results_only():
-    assert [f.name for f in fields(TrialBatch)] == [
-        "codebook_size", "alpha", "eps_p", "eps_s", "message", "key",
-        "after_message", "after_key",
-    ]
     assert [f.name for f in fields(McEstimate)] == ["mean", "std_error"]
 
 
 def test_batch_pipeline_invariants():
     sc = make_scenario(size=4, alpha=0.6)
-    rng = np.random.default_rng(99)
-    batch = drawn(simulate_batch(rng, sc, 0.3, 0.4, 20000))
+    batch = walked(sc, 0.3, 0.4, CENTER, 20000, chunk(99))
 
     assert batch["message"].max() < 4
     assert batch["key"].max() <= 3
@@ -160,8 +146,8 @@ def test_outcome_counts_match_per_trial_scoring(size):
     """The counting scorer agrees with the scalar cipher and distance per trial."""
     sc = make_scenario(size=size, alpha=0.6)
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
-    batch = simulate_batch(np.random.default_rng(17), sc, 0.3, 0.4, 5000)
-    assert _count_outcomes(batch, strat) == scored(drawn(batch, strat), sc, strat)
+    counts = _count_outcomes(sc, 0.3, 0.4, strat, 5000, chunk(17))
+    assert counts == scored(walked(sc, 0.3, 0.4, strat, 5000, chunk(17)), sc, strat)
 
 
 #: Beta1 + beta2 = 1 - 1e-13: the branch uniform and the exclusion integers
@@ -196,9 +182,9 @@ def test_outcome_counts_match_per_trial_scoring_where_draws_are_skipped(
     alpha, eps_p, eps_s, strat = cell
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
     sc = make_scenario(size=size, alpha=alpha)
-    full = type_major_batch(np.random.default_rng(19), size, alpha, eps_p, eps_s, 2500)
-    batch = simulate_batch(np.random.default_rng(19), sc, eps_p, eps_s, 2500)
-    assert _count_outcomes(batch, strat) == scored(full, sc, strat)
+    full = stream_major_draws(chunk(19), size, alpha, eps_p, eps_s, 2500)
+    counts = _count_outcomes(sc, eps_p, eps_s, strat, 2500, chunk(19))
+    assert counts == scored(full, sc, strat)
 
 
 #: Each rate at 0, at 1, at their float neighbours and in between.
@@ -220,9 +206,8 @@ def test_skipping_walk_matches_the_full_walk_trial_by_trial(monkeypatch, strat):
         for eps_p in RATES:
             for eps_s in RATES:
                 cell = (alpha, eps_p, eps_s)
-                want = type_major_batch(np.random.default_rng(29), codebook, *cell, size)
-                got = drawn(simulate_batch(np.random.default_rng(29), sc, eps_p, eps_s,
-                                           size), strat)
+                want = stream_major_draws(chunk(29), codebook, *cell, size)
+                got = walked(sc, eps_p, eps_s, strat, size, chunk(29))
                 for name in ("message", "key", "delivered", "key_decoded"):
                     assert np.array_equal(got[name], want[name]), (cell, name)
                 for mask in (lambda u: u < b1, lambda u: u >= b12):
@@ -241,14 +226,14 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
 
     def run():
-        batch = simulate_batch(np.random.default_rng(31), sc, 0.3, 0.4, size)
-        return _count_outcomes(batch, strat), drawn(batch, strat)
+        return (_count_outcomes(sc, 0.3, 0.4, strat, size, chunk(31)),
+                walked(sc, 0.3, 0.4, strat, size, chunk(31)))
 
     want, ref = run()
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
     got, draws = run()
     assert got == want
-    for name in DRAWS:
+    for name in FIELDS:
         assert np.array_equal(draws[name], ref[name]), name
 
 
@@ -257,30 +242,28 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
     # the skipped draws' constant masks are block buffers too
     pytest.param(4, 0.0, 0.0, PERCEPTION, id="4-alpha0-eps_p0-perception"),
 ])
-def test_chunk_allocates_at_most_20_bytes_per_trial(codebook, alpha, eps_p, strat):
-    """Messages and keys (16 B/trial) plus block scratch; no other whole-chunk
-    array.  A one-trial chunk first loads numpy.random's lazily imported
-    modules (~0.75 MB), which are no part of a chunk's cost."""
+def test_chunk_allocates_at_most_96_bytes_per_block_trial(codebook, alpha, eps_p, strat):
+    """Every draw and scratch array spans one block, so an estimate's peak does
+    not grow with its trials.  A one-trial estimate first loads numpy.random's
+    lazily imported modules (~0.75 MB), which are no part of a chunk's cost."""
     sc = make_scenario(size=codebook, alpha=alpha)
-    _count_outcomes(simulate_batch(np.random.default_rng(5), sc, eps_p, 0.4, 1), strat)
-    tracemalloc.start()
-    try:
-        batch = simulate_batch(np.random.default_rng(5), sc, eps_p, 0.4, CHUNK_TRIALS)
-        _count_outcomes(batch, strat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / CHUNK_TRIALS <= 20
+    estimate_distortion(sc, eps_p, 0.4, strat, 1, seed=5)
+    for trials in (CHUNK_TRIALS, 2 * CHUNK_TRIALS):
+        tracemalloc.start()
+        try:
+            estimate_distortion(sc, eps_p, 0.4, strat, trials, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * montecarlo.BLOCK_TRIALS, trials
 
 
 def test_branch_frequencies_match_their_probabilities():
     """Branch shares checked one by one: errors that cancel in the mean show here."""
     alpha, eps_p, eps_s = 0.6, 0.3, 0.4
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
-    batch = drawn(simulate_batch(
-        np.random.default_rng(23), make_scenario(size=4, alpha=alpha), eps_p, eps_s,
-        CHUNK_TRIALS,
-    ), strat)
+    batch = walked(make_scenario(size=4, alpha=alpha), eps_p, eps_s, strat,
+                   CHUNK_TRIALS, chunk(23))
 
     def within_4_sigma(mask, p):
         n = mask.size
@@ -296,25 +279,26 @@ def test_branch_frequencies_match_their_probabilities():
     assert within_4_sigma(u >= b12, strat.beta3)
 
 
-def walked_keys(codebook, alpha, size, rng):
-    """The keys of one batch's trials, 0 in NULL_KEY slots, and the raw keys."""
-    batch = simulate_batch(rng, make_scenario(size=codebook, alpha=alpha), 0.0, 0.0,
-                           size)
-    keys = [block[1].copy() for block in _draw_blocks(batch, CENTER)]
-    return np.concatenate(keys), batch.key
+def walked_keys(codebook, alpha, size, seed):
+    """The keys of one chunk's trials, 0 in NULL_KEY slots, and the raw keys:
+    the same key stream walked at alpha 1, where every key is active."""
+    def keys(a):
+        sc = make_scenario(size=codebook, alpha=a)
+        return walked(sc, 0.0, 0.0, CENTER, size, chunk(seed))["key"]
+
+    return keys(alpha), keys(1.0)
 
 
 def test_key_draws_degenerate_rates():
-    rng = np.random.default_rng(0)
-    keys, _ = walked_keys(8, 0.0, 50, rng)
+    keys, _ = walked_keys(8, 0.0, 50, 0)
     assert np.all(keys == 0)
-    keys, _ = walked_keys(2, 1.0, 50, rng)
+    keys, _ = walked_keys(2, 1.0, 50, 0)
     assert np.all(keys == 1)
 
 
 def test_key_draws_activation_frequency():
     n = 1_000_000
-    keys, raw = walked_keys(1 << 64, 0.99, n, np.random.default_rng(7))
+    keys, raw = walked_keys(1 << 64, 0.99, n, 7)
     active = keys != 0
     freq_null = 1.0 - active.mean()
     assert abs(freq_null - 0.01) <= 4.0 * np.sqrt(0.01 * 0.99 / n)
@@ -324,22 +308,11 @@ def test_key_draws_activation_frequency():
 
 def test_key_draws_uniform_over_keyspace():
     n = 300_000
-    keys, _ = walked_keys(4, 1.0, n, np.random.default_rng(11))
+    keys, _ = walked_keys(4, 1.0, n, 11)
     assert np.all(keys != 0)
     for k in (1, 2, 3):
         freq = (keys == k).mean()
         assert abs(freq - 1 / 3) <= 4.0 * np.sqrt((1 / 3) * (2 / 3) / n)
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937,
-                                           np.random.SFC64, np.random.PCG64DXSM])
-def test_bit_generator_other_than_pcg64_rejected_before_any_draw(bit_generator):
-    """The draws are placed by counting PCG64 outputs; Philox's ``advance``,
-    for one, counts 256-bit blocks."""
-    rng = np.random.Generator(bit_generator(1))
-    with pytest.raises(TypeError, match=bit_generator.__name__):
-        simulate_batch(rng, make_scenario(), 0.1, 0.1, 10)
-    assert rng.random() == np.random.Generator(bit_generator(1)).random()
 
 
 # ---------------------------------------------------------------------------
@@ -407,39 +380,39 @@ def test_same_seed_bit_identical():
 
 
 #: (codebook, alpha, eps_p, eps_s, strategy, trials, seed) -> (exact mean,
-#: std_error), recorded before the kernel reduced chunks to outcome counts.
+#: std_error), recorded when each chunk first drew from seven substreams.
 #: Integer distortions make every partial sum exact, so the mean pins the
 #: draw stream bit for bit; the standard error only to rounding.
 PINNED = [
     ((2, 0.99, 0.1, 0.2, PERCEPTION, CHUNK_TRIALS, 101),
-     (1.5511837005615234, 0.0037189315859180692)),
+     (1.5406551361083984, 0.0037083177381511453)),
     ((2, 0.5, 0.3, 0.4, CENTER, 2 * CHUNK_TRIALS, 102),
-     (2.533461570739746, 0.0023430350873762107)),
+     (2.5302791595458984, 0.0023430783102366235)),
     ((3, 0.7, 0.2, 0.35, EXCLUSION, CHUNK_TRIALS + 12345, 103),
-     (2.9703652216691854, 0.004222985032337395)),
+     (2.968153281665496, 0.0042234290559590906)),
     ((3, 1.0, 0.5, 0.1, DROPPING, CHUNK_TRIALS, 104),
-     (1.6474113464355469, 0.0020615760097724037)),
+     (1.6490306854248047, 0.002061353933320897)),
     ((4, 0.6, 0.3, 0.4, CENTER, CHUNK_TRIALS + 12345, 105),
-     (2.6541621555141037, 0.003388037597548125)),
+     (2.659951959719212, 0.0033879976490219744)),
     ((4, 0.99, 0.01, 0.5, EXCLUSION, 2 * CHUNK_TRIALS, 106),
-     (2.38851261138916, 0.0032234558246175284)),
+     (2.3882369995117188, 0.0032234887626399443)),
     ((1 << 64, 0.99, 0.1, 0.2, DROPPING, CHUNK_TRIALS + 12345, 107),
-     (0.8605322445693798, 0.0018522438588318157)),
+     (0.8620360656165387, 0.0018532099450232673)),
     ((1 << 64, 0.5, 0.5, 0.5, EXCLUSION, CHUNK_TRIALS, 108),
-     (4.123319625854492, 0.0033448356955655257)),
-    # Recorded before the chunk was drawn block by block.  At S = 4096 the
-    # integer draws take 32-bit halves; at 2^32 + 1 the messages take the
-    # 64-bit path and the keys and exclusion draws whole 32-bit halves; at
-    # 2^63 + 7 every integer draw takes the 64-bit path and rejects about
-    # half its outputs.  The odd trial counts leave a spare 32-bit half.
+     (4.125175476074219, 0.003345088679421999)),
+    # At S = 4096 the integer draws take 32-bit halves; at 2^32 + 1 the
+    # messages take the 64-bit path and the keys and exclusion draws whole
+    # 32-bit halves; at 2^63 + 7 every integer draw takes the 64-bit path
+    # and rejects about half its outputs.  The odd trial counts leave a
+    # spare 32-bit half.
     ((4096, 0.6, 0.3, 0.4, CENTER, 200_001, 109),
-     (2.784991075044625, 0.00563165571368637)),
+     (2.7826910865445673, 0.00562862102057085)),
     ((4096, 0.99, 0.1, 0.2, EXCLUSION, CHUNK_TRIALS + 4097, 110),
-     (1.6077481381946876, 0.003760404259530924)),
+     (1.617820339335901, 0.0037681056877755695)),
     (((1 << 32) + 1, 0.7, 0.2, 0.35, CENTER, CHUNK_TRIALS + 12_347, 111),
-     (2.5125550886542993, 0.0036452200764253285)),
+     (2.5112599811790135, 0.003644222810983636)),
     (((1 << 63) + 7, 0.5, 0.3, 0.4, CENTER, 99_999, 112),
-     (2.873928739287393, 0.007938428843832458)),
+     (2.859828598285983, 0.007911870806875441)),
 ]
 
 
@@ -477,7 +450,7 @@ PINNED_COUNTS = [
 @pytest.mark.parametrize("cell, pinned", PINNED_COUNTS)
 def test_std_error_is_pinned_bit_for_bit(monkeypatch, cell, pinned):
     size, d_loss, d_conf, trials, counts = cell
-    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda batch, strategy: counts)
+    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda *chunk: counts)
     sc = Scenario(codebook_size=size, d_loss=d_loss, d_conf=d_conf, alpha=0.5)
     est = estimate_distortion(sc, 0.1, 0.2, PERCEPTION, trials, seed=1)
     assert (est.mean.hex(), est.std_error.hex()) == pinned
