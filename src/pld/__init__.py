@@ -18,7 +18,7 @@ from .distortion import (
     opportunistic_distortion,
 )
 from .fbl import FblCode, error_rates, packet_error_rate, q_function
-from .montecarlo import McEstimate, estimate_distortion
+from .montecarlo import McEstimate, estimate_distortions
 from .strategy import (
     DeceptionPlan,
     ReceiverSolution,
@@ -44,7 +44,7 @@ __all__ = [
     "deterministic_pipeline_distortion",
     "enumeration_oracle",
     "error_rates",
-    "estimate_distortion",
+    "estimate_distortions",
     "opportunistic_distortion",
     "optimal_receiver_strategy",
     "optimize_deception",

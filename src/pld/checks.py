@@ -110,18 +110,24 @@ def _gate_perception_reduction(scenario: Scenario, rng: np.random.Generator) -> 
     return _rel_diff_gate("perception-vs-pipeline", perceived, pipelined, 1e-12)
 
 
-def _gate_monte_carlo(scenario: Scenario, eps_p: float, eps_s: float, trials: int,
-                      seed: int, closed_forms: list[float]) -> GateResult:
-    """``closed_forms``: the totals of ``_GATE_STRATEGIES`` at (eps_p, eps_s)."""
-    name = "closed-form-vs-monte-carlo"
-    children = np.random.SeedSequence(seed).spawn(len(_GATE_STRATEGIES) + 1)
-    best = strategy.optimal_receiver_strategy(distortion.delta_terms(scenario, eps_s)).strategy
-    closed_forms = [*closed_forms,
-                    distortion.opportunistic_distortion(scenario, eps_p, eps_s, best).total]
+def _gate_monte_carlo(scenario: Scenario, eps_pairs: list[tuple[float, float]], trials: int,
+                      seed: int, reports: list[DistortionReport]) -> GateResult:
+    """One shared walk per judged pair, from the pair's child of ``seed``: Bob's
+    pair, the first, and every other one where the enumeration gate skips."""
+    name, n = "closed-form-vs-monte-carlo", len(_GATE_STRATEGIES)
+    judged = eps_pairs if distortion.enumeration_limit(scenario) else eps_pairs[:1]
+    cases = []  # (pair, strategy, estimate, closed form) of every judged strategy
+    children = np.random.SeedSequence(seed).spawn(len(judged))
+    for i, (pair, child) in enumerate(zip(judged, children)):
+        best = strategy.optimal_receiver_strategy(distortion.delta_terms(scenario, pair[1]))
+        strategies = _GATE_STRATEGIES + (best.strategy,)
+        closed_forms = [rep.total for rep in reports[n * i:n * (i + 1)]] + [
+            distortion.opportunistic_distortion(scenario, *pair, best.strategy).total]
+        estimates = montecarlo.estimate_distortions(scenario, *pair, strategies, trials,
+                                                    int(child.generate_state(1, np.uint64)[0]))
+        cases += [(pair, *case) for case in zip(strategies, estimates, closed_forms)]
     sigmas = []
-    for child, strat, closed in zip(children, _GATE_STRATEGIES + (best,), closed_forms):
-        est = montecarlo.estimate_distortion(scenario, eps_p, eps_s, strat, trials,
-                                             int(child.generate_state(1, np.uint64)[0]))
+    for pair, strat, est, closed in cases:
         gap = abs(est.mean - closed)
         # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
         # the analytic bound keeps the gate meaningful when events are so
@@ -133,13 +139,15 @@ def _gate_monte_carlo(scenario: Scenario, eps_p: float, eps_s: float, trials: in
         scale = est.std_error if est.std_error > 0 else se_bound
         tol = 4.0 * max(scale, se_bound) + 1e-12
         verdict = _judged(name, gap, tol, f"|{est.mean:.6g} - {closed:.6g}| = "
-                          f"{gap:.3e} > tol={tol:.3e} at {trials} trials")
+                          f"{gap:.3e} > tol={tol:.3e} at {trials} trials, (eps_p, eps_s) = "
+                          f"({pair[0]:.6g}, {pair[1]:.6g}), strategy ({strat.beta1:.6g}, "
+                          f"{strat.beta2:.6g}, {strat.beta3:.6g})")
         if verdict.status == "FAIL":  # the first strategy off its closed form
             return verdict
         if scale > 0:
             sigmas.append(gap / scale)
     return GateResult(name, "PASS", f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} "
-                      f"sigma over {len(_GATE_STRATEGIES) + 1} strategies at {trials} trials")
+                      f"sigma over {len(judged)} pairs x {n + 1} strategies at {trials} trials")
 
 
 def _gate_decomposition(scenario: Scenario, eps_pairs: list[tuple[float, float]],
@@ -165,7 +173,6 @@ def run_validation(scenario: Scenario, trials: int, seed: int) -> list[GateResul
         _gate_channel_rows([0.0, 0.25, 1.0, eps_bob, eps_eve]),
         _gate_enumeration(scenario, eps_pairs, reports),
         _gate_perception_reduction(scenario, rng),
-        _gate_monte_carlo(scenario, eps_bob, eps_bob, trials, seed,
-                          [rep.total for rep in reports[:len(_GATE_STRATEGIES)]]),
+        _gate_monte_carlo(scenario, eps_pairs, trials, seed, reports),
         _gate_decomposition(scenario, eps_pairs, reports),
     ]

@@ -93,7 +93,8 @@ def test_a_planted_fault_fails_its_gate(monkeypatch, gate, module, name, fault):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11(b): above the enumeration cap "
-                   "no gate judges the closed forms at Eve's rate")
+                   "the Monte Carlo gate judges Eve's rate, but its analytic bound "
+                   "allows this fault")
 def test_delta3_fault_fails_a_gate_above_the_enumeration_cap(monkeypatch):
     # Eve's rate at 0 dB is 0.5; at S = 4096 the enumeration gate fails
     monkeypatch.setattr(distortion, "_delta_terms_at", delta3_high_above_0_3)

@@ -13,6 +13,8 @@ import pytest
 import pld.checks
 import pld.cli
 import pld.distortion
+import pld.fbl
+import pld.montecarlo
 import pld.strategy
 from pld.cli import ScenarioFile, load_scenario_file, main, snr_grid
 from pld.core import ScenarioError
@@ -715,13 +717,12 @@ def test_validate_checks_each_drawn_word_under_the_null_key(tmp_path, capsys, mo
 
 def break_the_monte_carlo_kernel(monkeypatch):
     """Make every Monte Carlo mean 2 * mean + 1, far off the closed form."""
-    original = pld.montecarlo.estimate_distortion
+    original = pld.montecarlo.estimate_distortions
 
     def doubled(*args, **kwargs):
-        est = original(*args, **kwargs)
-        return replace(est, mean=2.0 * est.mean + 1.0)
+        return [replace(est, mean=2.0 * est.mean + 1.0) for est in original(*args, **kwargs)]
 
-    monkeypatch.setattr(pld.montecarlo, "estimate_distortion", doubled)
+    monkeypatch.setattr(pld.montecarlo, "estimate_distortions", doubled)
 
 
 def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
@@ -736,6 +737,29 @@ def test_validate_monte_carlo_gate_fails_at_huge_distortion(tmp_path, capsys,
     assert lines[-1] == "gates: 5 passed, 1 failed, 0 skipped"
 
 
+@pytest.mark.parametrize("codebook_size, trials, pairs", [(4096, 1 << 19, 1), ("2^64", 20000, 4)],
+                         ids=["4096", "2^64"])
+def test_validate_walks_once_per_judged_channel_pair(tmp_path, capsys, monkeypatch,
+                                                     codebook_size, trials, pairs):
+    # every gate strategy shares its pair's walk; above the enumeration cap the
+    # gate judges all four pairs, Bob's first
+    walks = []
+    count = pld.montecarlo._count_outcomes
+
+    def counted(scenario, eps_p, eps_s, strategies, size, seed):
+        walks.append(((eps_p, eps_s), len(strategies)))
+        return count(scenario, eps_p, eps_s, strategies, size, seed)
+
+    monkeypatch.setattr(pld.montecarlo, "_count_outcomes", counted)
+    path = write_doc(tmp_path, dict(BASE_DOC, codebook_size=codebook_size, mc_trials=trials))
+    assert main(["validate", "--scenario", path]) == 0
+    eps_bob, eps_eve = pld.fbl.receiver_error_rates(load_scenario_file(path).scenario)
+    judged = [(eps_bob, eps_bob), (eps_eve, eps_eve), (0.1, 0.2), (0.5, 0.5)][:pairs]
+    assert walks == [(pair, 5) for pair in judged]
+    assert capsys.readouterr().out.splitlines()[4].endswith(
+        f"sigma over {pairs} pairs x 5 strategies at {trials} trials")
+
+
 def test_validate_judges_one_trial_by_the_analytic_bound(capsys):
     # the standard error of one trial is nan (the gate once made tol nan), so
     # the analytic bound both judges the gap of 3.3e-3 and measures it
@@ -743,7 +767,7 @@ def test_validate_judges_one_trial_by_the_analytic_bound(capsys):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[4] == ("PASS closed-form-vs-monte-carlo: max |mean-analytic| = "
-                        "0.10 sigma over 5 strategies at 1 trials")
+                        "0.10 sigma over 1 pairs x 5 strategies at 1 trials")
 
 
 def test_validate_fails_a_faulty_kernel_at_one_trial(capsys, monkeypatch):

@@ -43,7 +43,7 @@ def stream_major_draws(seed, codebook_size, alpha, eps_p, eps_s, size):
 def walked(scenario, eps_p, eps_s, strategy, size, seed):
     """The block walk's draws, each field joined over the chunk."""
     blocks = [[a.copy() for a in drawn] for drawn in
-              _draw_blocks(scenario, eps_p, eps_s, strategy, size, seed)]
+              _draw_blocks(scenario, eps_p, eps_s, (strategy,), size, seed)]
     return {name: np.concatenate(parts) for name, parts in zip(FIELDS, zip(*blocks))}
 
 

@@ -146,7 +146,7 @@ def test_outcome_counts_match_per_trial_scoring(size):
     """The counting scorer agrees with the scalar cipher and distance per trial."""
     sc = make_scenario(size=size, alpha=0.6)
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
-    counts = _count_outcomes(sc, 0.3, 0.4, strat, 5000, chunk(17))
+    [counts] = _count_outcomes(sc, 0.3, 0.4, (strat,), 5000, chunk(17))
     assert counts == scored(walked(sc, 0.3, 0.4, strat, 5000, chunk(17)), sc, strat)
 
 
@@ -183,7 +183,7 @@ def test_outcome_counts_match_per_trial_scoring_where_draws_are_skipped(
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 1000)
     sc = make_scenario(size=size, alpha=alpha)
     full = stream_major_draws(chunk(19), size, alpha, eps_p, eps_s, 2500)
-    counts = _count_outcomes(sc, eps_p, eps_s, strat, 2500, chunk(19))
+    [counts] = _count_outcomes(sc, eps_p, eps_s, (strat,), 2500, chunk(19))
     assert counts == scored(full, sc, strat)
 
 
@@ -226,7 +226,7 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch, size, codebook):
     strat = ReceiverStrategy(0.2, 0.3, 0.5)
 
     def run():
-        return (_count_outcomes(sc, 0.3, 0.4, strat, size, chunk(31)),
+        return (_count_outcomes(sc, 0.3, 0.4, (strat,), size, chunk(31)),
                 walked(sc, 0.3, 0.4, strat, size, chunk(31)))
 
     want, ref = run()
@@ -450,7 +450,7 @@ PINNED_COUNTS = [
 @pytest.mark.parametrize("cell, pinned", PINNED_COUNTS)
 def test_std_error_is_pinned_bit_for_bit(monkeypatch, cell, pinned):
     size, d_loss, d_conf, trials, counts = cell
-    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda *chunk: counts)
+    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda *chunk: [counts])
     sc = Scenario(codebook_size=size, d_loss=d_loss, d_conf=d_conf, alpha=0.5)
     est = estimate_distortion(sc, 0.1, 0.2, PERCEPTION, trials, seed=1)
     assert (est.mean.hex(), est.std_error.hex()) == pinned
@@ -463,3 +463,42 @@ def test_worker_count_does_not_change_the_estimate():
     pooled = estimate_distortion(sc, 0.2, 0.3, CENTER, trials, seed=9, workers=3)
     assert solo.mean == pooled.mean
     assert solo.std_error == pooled.std_error
+
+
+#: Corner, mixed and repeated strategies in one walk: the corners read
+#: neither the branch uniform nor, but for exclusion, the exclusion draw.
+SHARED = (PERCEPTION, DROPPING, CENTER, EXCLUSION, NEAR_DROPPING,
+          ReceiverStrategy(0.5, 0.5, 0.0), PERCEPTION, ReceiverStrategy(0.0, 0.25, 0.75))
+
+
+def assert_shared_walk_is_each_solo_walk(sc, eps_p, eps_s, strategies, trials, seed):
+    shared = montecarlo.estimate_distortions(sc, eps_p, eps_s, strategies, trials, seed)
+    assert len(shared) == len(strategies)
+    for strat, est in zip(strategies, shared):
+        solo = estimate_distortion(sc, eps_p, eps_s, strat, trials, seed)
+        assert (est.mean.hex(), est.std_error.hex()) == (solo.mean.hex(),
+                                                         solo.std_error.hex()), strat
+
+
+@pytest.mark.parametrize("block", [montecarlo.BLOCK_TRIALS, 1000])
+@pytest.mark.parametrize("codebook", [3, 1 << 64])
+def test_a_shared_walk_counts_each_strategy_as_its_solo_walk(monkeypatch, codebook, block):
+    """Every skip rule: alpha, eps_p and eps_s at 0, inside and at 1 (alpha 0
+    draws no keys and decodes none), so each draw is skipped in some cell, for
+    one strategy and not another, or for all of them."""
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
+    for alpha in (0.0, 0.6, 1.0):
+        sc = make_scenario(size=codebook, alpha=alpha)
+        for eps_p in (0.0, 0.3, 1.0):
+            for eps_s in (0.0, 0.4, 1.0):
+                assert_shared_walk_is_each_solo_walk(sc, eps_p, eps_s, SHARED, 2500, 53)
+    # one strategy alone, and the corners alone, which draw no branch uniform
+    sc = make_scenario(size=codebook, alpha=0.6)
+    assert_shared_walk_is_each_solo_walk(sc, 0.3, 0.4, (CENTER,), 2500, 54)
+    assert_shared_walk_is_each_solo_walk(sc, 0.3, 0.4, (PERCEPTION, DROPPING), 2500, 55)
+    assert_shared_walk_is_each_solo_walk(sc, 0.3, 0.4, (DROPPING, EXCLUSION), 2500, 56)
+
+
+def test_a_shared_walk_over_several_chunks_counts_each_strategy_as_its_solo_walk():
+    sc = make_scenario(size=5, alpha=0.6)
+    assert_shared_walk_is_each_solo_walk(sc, 0.3, 0.4, SHARED, CHUNK_TRIALS + 12345, 57)
