@@ -88,10 +88,10 @@ _GATE_STRATEGIES = (PERCEPTION, DROPPING, EXCLUSION, ReceiverStrategy(1 / 3, 1 /
 
 
 def _gate_enumeration(scenario: Scenario, eps_pairs: list[tuple[float, float]],
-                      reports: list[DistortionReport]) -> GateResult:
+                      reports: list[DistortionReport], skipped: str | None) -> GateResult:
     name = "closed-form-vs-enumeration"
-    if reason := distortion.enumeration_limit(scenario):
-        return GateResult(name, "SKIP", f"skipped: {reason}")
+    if skipped:
+        return GateResult(name, "SKIP", f"skipped: {skipped}")
     oracles = distortion.enumeration_oracle(scenario, eps_pairs, _GATE_STRATEGIES)
     return _rel_diff_gate(name, [rep.total for rep in reports], np.ravel(oracles), 1e-10)
 
@@ -110,13 +110,12 @@ def _gate_perception_reduction(scenario: Scenario, rng: np.random.Generator) -> 
     return _rel_diff_gate("perception-vs-pipeline", perceived, pipelined, 1e-12)
 
 
-def _gate_monte_carlo(scenario: Scenario, eps_pairs: list[tuple[float, float]], trials: int,
+def _gate_monte_carlo(scenario: Scenario, judged: list[tuple[float, float]], trials: int,
                       seed: int, reports: list[DistortionReport]) -> GateResult:
-    """One shared walk per judged pair, from the pair's child of ``seed``: Bob's
-    pair, the first, and every other one where the enumeration gate skips."""
+    """One shared walk per judged pair, from its child of ``seed``; a walk's
+    strategies are judged before the next pair's walk, and a FAIL ends it."""
     name, n = "closed-form-vs-monte-carlo", len(_GATE_STRATEGIES)
-    judged = eps_pairs if distortion.enumeration_limit(scenario) else eps_pairs[:1]
-    cases = []  # (pair, strategy, estimate, closed form) of every judged strategy
+    sigmas = []
     children = np.random.SeedSequence(seed).spawn(len(judged))
     for i, (pair, child) in enumerate(zip(judged, children)):
         best = strategy.optimal_receiver_strategy(distortion.delta_terms(scenario, pair[1]))
@@ -125,27 +124,25 @@ def _gate_monte_carlo(scenario: Scenario, eps_pairs: list[tuple[float, float]], 
             distortion.opportunistic_distortion(scenario, *pair, best.strategy).total]
         estimates = montecarlo.estimate_distortions(scenario, *pair, strategies, trials,
                                                     int(child.generate_state(1, np.uint64)[0]))
-        cases += [(pair, *case) for case in zip(strategies, estimates, closed_forms)]
-    sigmas = []
-    for pair, strat, est, closed in cases:
-        gap = abs(est.mean - closed)
-        # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
-        # the analytic bound keeps the gate meaningful when events are so
-        # rare that the empirical standard error collapses to zero, and is
-        # the unit of a strategy without a positive one (one trial alone has
-        # nan).  Its root is taken factor by factor, as d_conf * mean can
-        # overflow.
-        se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
-        scale = est.std_error if est.std_error > 0 else se_bound
-        tol = 4.0 * max(scale, se_bound) + 1e-12
-        verdict = _judged(name, gap, tol, f"|{est.mean:.6g} - {closed:.6g}| = "
-                          f"{gap:.3e} > tol={tol:.3e} at {trials} trials, (eps_p, eps_s) = "
-                          f"({pair[0]:.6g}, {pair[1]:.6g}), strategy ({strat.beta1:.6g}, "
-                          f"{strat.beta2:.6g}, {strat.beta3:.6g})")
-        if verdict.status == "FAIL":  # the first strategy off its closed form
-            return verdict
-        if scale > 0:
-            sigmas.append(gap / scale)
+        for strat, est, closed in zip(strategies, estimates, closed_forms):
+            gap = abs(est.mean - closed)
+            # distortion lives in {0, d_loss, d_conf}, so Var <= d_conf * mean;
+            # the analytic bound keeps the gate meaningful when events are so
+            # rare that the empirical standard error collapses to zero, and
+            # is the unit of a strategy without a positive one (one trial
+            # alone has nan).  Its root is taken factor by factor, as
+            # d_conf * mean can overflow.
+            se_bound = math.sqrt(scenario.d_conf / trials) * math.sqrt(max(closed, 0.0))
+            scale = est.std_error if est.std_error > 0 else se_bound
+            tol = 4.0 * max(scale, se_bound) + 1e-12
+            verdict = _judged(name, gap, tol, f"|{est.mean:.6g} - {closed:.6g}| = "
+                              f"{gap:.3e} > tol={tol:.3e} at {trials} trials, (eps_p, eps_s) "
+                              f"= ({pair[0]:.6g}, {pair[1]:.6g}), strategy ({strat.beta1:.6g}, "
+                              f"{strat.beta2:.6g}, {strat.beta3:.6g})")
+            if verdict.status == "FAIL":  # the first strategy off its closed form
+                return verdict
+            if scale > 0:
+                sigmas.append(gap / scale)
     return GateResult(name, "PASS", f"max |mean-analytic| = {max(sigmas, default=0.0):.2f} "
                       f"sigma over {len(judged)} pairs x {n + 1} strategies at {trials} trials")
 
@@ -167,12 +164,14 @@ def run_validation(scenario: Scenario, trials: int, seed: int) -> list[GateResul
     # the closed forms three gates judge, in the oracle's order flattened
     reports = [distortion.opportunistic_distortion(scenario, eps_p, eps_s, strat)
                for eps_p, eps_s in eps_pairs for strat in _GATE_STRATEGIES]
+    skipped = distortion.enumeration_limit(scenario)  # the one oracle split
+    judged = eps_pairs if skipped else eps_pairs[:1]  # Monte Carlo's pairs, Bob's first
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     return [
         _gate_cipher_identities(scenario, rng),
         _gate_channel_rows([0.0, 0.25, 1.0, eps_bob, eps_eve]),
-        _gate_enumeration(scenario, eps_pairs, reports),
+        _gate_enumeration(scenario, eps_pairs, reports, skipped),
         _gate_perception_reduction(scenario, rng),
-        _gate_monte_carlo(scenario, eps_pairs, trials, seed, reports),
+        _gate_monte_carlo(scenario, judged, trials, seed, reports),
         _gate_decomposition(scenario, eps_pairs, reports),
     ]

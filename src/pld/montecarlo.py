@@ -38,7 +38,7 @@ CHUNK_TRIALS = 1 << 19
 #: 1.2 MB, stay in cache.  The counts do not depend on it.
 BLOCK_TRIALS = 1 << 14
 
-#: Most trials one estimate takes: 2^17 chunks, about 64 MB of substream seeds.
+#: Most trials one estimate takes: 2^17 chunks, about 40 minutes at 20-34 M trials/s.
 MAX_TRIALS = 1 << 36
 
 
@@ -205,10 +205,10 @@ def _estimates(
     channels._check_eps(eps_s, "eps_s")
     full, rest = divmod(trials, CHUNK_TRIALS)
     sizes = [CHUNK_TRIALS] * full + [rest] * (rest > 0)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    def run_chunk(idx: int) -> list[tuple[int, int]]:
-        return _count_outcomes(scenario, eps_p, eps_s, strategies, sizes[idx], seeds[idx])
+    def run_chunk(idx: int) -> list[tuple[int, int]]:  # seeded by SeedSequence(seed)'s child idx
+        return _count_outcomes(scenario, eps_p, eps_s, strategies, sizes[idx],
+                               np.random.SeedSequence(seed, spawn_key=(idx,)))
 
     if workers == 1 or len(sizes) == 1:
         counts = [run_chunk(i) for i in range(len(sizes))]
