@@ -93,6 +93,8 @@ def real_violations(**values: object) -> list[str]:
     """The type rule of a real field: a number, not a bool, that fits a float."""
     bad = []
     for key, x in values.items():
+        if type(x) is float:  # a number, not a bool, that fits a float
+            continue
         if not isinstance(x, numbers.Real) or isinstance(x, bool):
             bad.append(f"{key} must be a number, got {x!r}")
             continue

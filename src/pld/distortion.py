@@ -10,14 +10,17 @@ brute-force summation over every (key, meaning, delivery, key-decode,
 estimate) combination, sharing nothing with the closed forms, so the two can
 police each other in tests.  It makes one O(S^2) pass per call, shared by
 every channel pair and strategy asked about: every key's cipher runs,
-NULL_KEY as key 0, a block of keys at a time on narrow integers, and its
-arithmetic is reused when its masks repeat the previous key's; each channel
-is read once per channel pair.  The pass runs in scratch of fixed size,
-~3 MB at the 4096 cap: one 512x512 distance block at a time, and buffers for
-a block of keys that every block reuses.
+NULL_KEY as key 0, a block of keys at a time on narrow integers, each key's
+ciphertexts a window of one residue table and its decryption per-key
+arithmetic.  A key's arithmetic is reused when its masks, compared as words,
+repeat the previous key's, and a run of reused keys joins the totals in one
+accumulation; each channel is read once per channel pair.  The pass runs in
+scratch of fixed size, ~2.5 MB at the 4096 cap: one 512x512 distance block
+at a time, and buffers for a block of keys that every block reuses.
 """
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -62,7 +65,7 @@ class DeltaTerms:
 
     def __post_init__(self) -> None:
         for d in (self.delta1, self.delta2, self.delta3):
-            if not (np.isfinite(d) and d >= 0.0):
+            if not (math.isfinite(d) and d >= 0.0):
                 raise ValueError(f"delta terms must be finite and >= 0, got {d!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -213,15 +216,21 @@ def enumeration_oracle(
     and its inverse w = (s - k) mod S, with each residue in its
     floor-division form x - S*(x // S), right for a negative s - k too.  The
     integers are the narrowest signed dtype holding -(S-1) .. 2(S-1),
-    ``np.min_scalar_type(-2 * S)``: int16 at the cap.  ``KEY_BLOCK`` keys
-    run as one 2-D pass, one row a key, in buffers allocated once a call
-    and reused by every block: the three integer arrays and the two masks
-    take ~2 MB at the cap, and ``_distance_rows`` one 2 MB block at a time.
+    ``np.min_scalar_type(-2 * S)``: int16 at the cap.  The residues of
+    x = 0 .. 2S-2 are computed once a call; as the meanings run 0 .. S-1 in
+    order, key k's ciphertexts are the window of S residues from x = k, and
+    a block's are a view of those windows.  ``KEY_BLOCK`` keys decrypt as
+    one 2-D pass, one row a key, in buffers allocated once a call and reused
+    by every block: the two integer arrays and the masks take ~1.5 MB at the
+    cap, and ``_distance_rows`` one 2 MB block at a time.  A key's two masks
+    share one row, padded to whole 8-byte words, and are compared with the
+    previous key's as words.
     The key channel, like the codeword channel, is read once per pair: for
     NULL_KEY, and at key 1 for every real key.  A key's terms are recomputed
-    at keys 0 and 1, which switch between those reads, and where its two
-    masks differ from the previous key's, else reused; they join the totals
-    one key at a time.
+    at keys 0 and 1, which switch between those reads, and where its masks
+    differ from the previous key's, else reused.  Each run of keys that share
+    terms joins the totals through one ``np.add.accumulate``, which adds the
+    terms one key at a time in key order, the bits of a per-key loop.
     Returns a (len(channels), len(strategies)) array in the order given;
     refuses what ``enumeration_limit`` names, and bad pairs, before the pass.
     """
@@ -255,36 +264,42 @@ def enumeration_oracle(
     weights = (b1, b2 * np.full(size, d_loss), b3)
     block = np.empty((len(strategies), size))  # scratch, one row a strategy
 
-    ciphertexts, decrypted, quotient = (
-        np.empty((KEY_BLOCK, size), words.dtype) for _ in range(3))
-    # Row 0 holds the key before the block, row i the block's i-th key.
-    seen, decoded = np.zeros((2, KEY_BLOCK + 1, size), dtype=bool)
+    # Key k's ciphertexts (w + k) mod S are the window residues[k : k + S].
+    x = np.arange(2 * size - 1, dtype=words.dtype)
+    residues = x - size * (x // size)
+    ciphertexts = np.lib.stride_tricks.sliding_window_view(residues, size)
+    decrypted, quotient = np.empty((2, KEY_BLOCK, size), words.dtype)
+    # One row a key, both masks padded to whole words: row 0 holds the key
+    # before the block, row i the block's i-th key.
+    masks = np.zeros((KEY_BLOCK + 1, -(-2 * size // 8) * 8), dtype=bool)
+    seen, decoded = masks[:, :size], masks[:, size:2 * size]
+    mask_words = masks.view(np.uint64)
     terms = np.empty_like(totals)
+    run = np.empty((KEY_BLOCK + 1, *totals.shape))  # totals, then a run's terms
     for lo in range(0, size, KEY_BLOCK):
-        keys = range(lo, min(lo + KEY_BLOCK, size))
-        n = len(keys)
-        shift = np.array(keys, dtype=words.dtype)[:, None]
-        c, d, q = ciphertexts[:n], decrypted[:n], quotient[:n]
-        np.add(words, shift, out=c)
-        c -= np.multiply(np.floor_divide(c, size, out=q), size, out=q)
-        np.subtract(c, shift, out=d)
+        n = min(KEY_BLOCK, size - lo)
+        c, d, q = ciphertexts[lo:lo + n], decrypted[:n], quotient[:n]
+        np.subtract(c, np.arange(lo, lo + n, dtype=words.dtype)[:, None], out=d)
         d -= np.multiply(np.floor_divide(d, size, out=q), size, out=q)
         np.equal(c, words, out=seen[1:n + 1])
         np.equal(d, words, out=decoded[1:n + 1])
-        changed = (seen[1:n + 1] != seen[:n]).any(axis=1)
-        changed |= (decoded[1:n + 1] != decoded[:n]).any(axis=1)
-        for i, k in enumerate(keys, 1):
-            # keys 0 and 1 switch the reads, whatever their masks
-            if k <= 1 or changed[i - 1]:
-                d_decoded = np.where(decoded[i], 0.0, d_conf)
-                mix = _no_key_mixes(seen[i], rowsum, weights, d_conf)
+        fresh = (mask_words[1:n + 1] != mask_words[:n]).any(axis=1)
+        fresh[:max(2 - lo, 0)] = True  # keys 0 and 1 switch the reads
+        edges = [0, *(np.flatnonzero(fresh[1:]) + 1).tolist(), n]
+        for i, end in zip(edges, edges[1:]):  # keys i .. end-1 share terms
+            if fresh[i]:
+                d_decoded = np.where(decoded[i + 1], 0.0, d_conf)
+                mix = _no_key_mixes(seen[i + 1], rowsum, weights, d_conf)
                 for (deliver, erasure), (prior, p_decoded, p_lost), row in zip(
-                        branches, real_key if k else null_key, terms):
+                        branches, real_key if lo + i else null_key, terms):
                     np.multiply(p_lost, mix, out=block)
                     block += p_decoded * d_decoded
                     block *= deliver
                     block += erasure
                     np.multiply(prior, block.mean(axis=1), out=row)
-            totals += terms
-        seen[0], decoded[0] = seen[n], decoded[n]
+            span = run[:end - i + 1]
+            span[0], span[1:] = totals, terms
+            np.add.accumulate(span, axis=0, out=span)  # one key at a time
+            totals[...] = span[-1]
+        masks[0] = masks[n]
     return totals

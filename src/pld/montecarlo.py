@@ -204,22 +204,22 @@ def _estimates(
     channels._check_eps(eps_p, "eps_p")
     channels._check_eps(eps_s, "eps_s")
     full, rest = divmod(trials, CHUNK_TRIALS)
-    sizes = [CHUNK_TRIALS] * full + [rest] * (rest > 0)
+    n_chunks = full + (rest > 0)
 
     def run_chunk(idx: int) -> list[tuple[int, int]]:  # seeded by SeedSequence(seed)'s child idx
-        return _count_outcomes(scenario, eps_p, eps_s, strategies, sizes[idx],
+        return _count_outcomes(scenario, eps_p, eps_s, strategies,
+                               CHUNK_TRIALS if idx < full else rest,
                                np.random.SeedSequence(seed, spawn_key=(idx,)))
 
-    if workers == 1 or len(sizes) == 1:
-        counts = [run_chunk(i) for i in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_chunk, range(len(sizes))))
+    counts = [(0, 0)] * len(strategies)  # each strategy's (n_loss, n_conf) so far
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        serial = workers == 1 or n_chunks == 1
+        for chunk in (map if serial else pool.map)(run_chunk, range(n_chunks)):
+            counts = [(a + b, c + d) for (a, c), (b, d) in zip(counts, chunk)]
 
     d_loss, d_conf = Fraction(scenario.d_loss), Fraction(scenario.d_conf)
     estimates = []
-    for chunks in zip(*counts):  # one strategy's counts, chunk by chunk
-        n_loss, n_conf = map(sum, zip(*chunks))
+    for n_loss, n_conf in counts:
         mean = (n_loss * d_loss + n_conf * d_conf) / trials
         if trials > 1:
             # sum of (d - mean)^2, exactly: the second moment less trials*mean^2

@@ -258,6 +258,23 @@ def test_chunk_allocates_at_most_96_bytes_per_block_trial(codebook, alpha, eps_p
         assert peak <= 96 * montecarlo.BLOCK_TRIALS, trials
 
 
+def test_estimate_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    """Each chunk's counts join a running sum as they arrive: with the chunk
+    kernel stubbed, 2^14 chunks peak where 2^11 do."""
+    monkeypatch.setattr(montecarlo, "_count_outcomes", lambda *args: [(0, 0)])
+    sc = make_scenario(size=4, alpha=0.6)
+    estimate_distortion(sc, 0.3, 0.4, CENTER, 1, seed=5)  # lazy imports
+    peaks = []
+    for trials in (1 << 30, 1 << 33):
+        tracemalloc.start()
+        try:
+            estimate_distortion(sc, 0.3, 0.4, CENTER, trials, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
 def test_branch_frequencies_match_their_probabilities():
     """Branch shares checked one by one: errors that cancel in the mean show here."""
     alpha, eps_p, eps_s = 0.6, 0.3, 0.4

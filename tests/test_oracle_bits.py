@@ -165,3 +165,16 @@ def test_oracle_reuse_ignores_zero_signs_and_never_reuses_nan(monkeypatch, size,
         assert nan[-1].all() and not nan[:-1].any()
     assert got[:-1].tobytes() == plain[:-1].tobytes()
     assert got[:-1].tobytes() == want[:-1].tobytes()
+
+
+# Block sizes that put keys 0 and 1 in different blocks, let a run of reused
+# terms cross blocks, leave a short last block, and sizes whose mask rows are
+# not whole words.
+@pytest.mark.parametrize("key_block", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("size", [2, 3, 7, 65, 257])
+def test_oracle_bits_do_not_depend_on_the_key_block(monkeypatch, size, key_block):
+    monkeypatch.setattr("pld.distortion.KEY_BLOCK", key_block)
+    scenario = replace(BASE, codebook_size=size)
+    got = enumeration_oracle(scenario, PAIRS, PINNED_STRATEGIES)
+    want = per_key_oracle(scenario, PAIRS, PINNED_STRATEGIES)
+    assert got.tobytes() == want.tobytes()
